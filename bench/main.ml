@@ -282,14 +282,11 @@ let ablation_itr () =
 (* ---- Bechamel micro-benchmarks ---- *)
 
 (* (json key, display name, closure) for each hot primitive.  The ring and
-   translate benches measure what the datapath actually does since the
-   zero-copy/IOTLB work: borrowed-slot marshalling and cached translation.
-   The copying variants stay measured so the delta is visible. *)
+   translate benches measure what the datapath actually does: borrowed-slot
+   marshalling and cached translation. *)
 let microbench_cases () =
   let ring = Ring.create ~slots:256 in
-  let ring_copy = Ring.create ~slots:256 in
   let msg = Msg.make ~kind:3 ~args:[ 42; 1448 ] () in
-  let slot = Msg.marshal msg in
   (* IOTLB hit: same page every time (first access warms the cache). *)
   let iommu = Iommu.create ~mode:(Iommu.Intel_vtd { interrupt_remapping = false }) () in
   let dom = Iommu.attach iommu ~source:7 in
@@ -305,30 +302,17 @@ let microbench_cases () =
   let sink = ref 0 in
   [ ( "ring_push_pop",
       "uchan ring push+pop",
-      (* The borrowed-slot ring: transport is index arithmetic, the copies
-         the old API forced are gone (marshalling is measured separately
-         and by the msg_through_ring pair). *)
+      (* The borrowed-slot ring: transport is index arithmetic (marshalling
+         is measured separately and by msg_through_ring). *)
       fun () ->
         ignore (Ring.push_inplace ring ignore : bool);
         ignore (Ring.pop_inplace ring (fun slot -> sink := !sink + Bytes.length slot)
                 : unit option) );
-    ( "ring_push_pop_copying",
-      "uchan ring push+pop (legacy copying API)",
-      fun () ->
-        ignore (Ring.try_push ring_copy slot : bool);
-        ignore (Ring.try_pop ring_copy : bytes option) );
     ( "msg_through_ring",
       "msg through ring, zero-copy (datapath)",
       fun () ->
         ignore (Ring.push_inplace ring (Msg.marshal_into msg) : bool);
         ignore (Ring.pop_inplace ring Msg.unmarshal_view : (Msg.t, string) result option) );
-    ( "msg_through_ring_copying",
-      "msg through ring, copying (old datapath)",
-      fun () ->
-        ignore (Ring.try_push ring_copy (Msg.marshal msg) : bool);
-        (match Ring.try_pop ring_copy with
-         | Some b -> ignore (Msg.unmarshal b : (Msg.t, string) result)
-         | None -> ()) );
     ( "msg_marshal_unmarshal",
       "msg marshal+unmarshal",
       fun () ->
@@ -1192,10 +1176,11 @@ let run_fuzz () =
    drift since the baseline was recorded: benches whose code is
    untouched move +-10% between sessions, so each raw ratio is also
    divided by the drift of a control bench the observability layer
-   cannot have touched (the legacy copying-ring micro-bench: no metrics,
-   no trace points, same cache-resident small-op profile).  Run-to-run
-   jitter: a failing key is re-measured in control/key/control sandwich
-   rounds — the spread between the two control runs is a direct reading
+   cannot have touched: msg marshal+unmarshal, pure wire-format code —
+   Msg carries no metrics handles and emits no trace spans, and the bench
+   runs it outside any ring or channel.  Run-to-run jitter: a failing
+   key is re-measured in control/key/control sandwich rounds — the
+   spread between the two control runs is a direct reading
    of that round's measurement resolution, and the gate widens by
    exactly that much (capped), so a quiet machine is held to the strict
    threshold while a host-steal-noisy one is not failed for noise it
@@ -1203,7 +1188,7 @@ let run_fuzz () =
    but not the controls, so it still fails. *)
 
 let guard_keys = [ "ring_push_pop"; "iommu_translate_hit" ]
-let guard_control = "ring_push_pop_copying"
+let guard_control = "msg_marshal_unmarshal"
 let guard_threshold = 1.05
 let guard_baseline_path = "BENCH_2.json"
 
@@ -1526,8 +1511,20 @@ let run_check () =
   print_endline "wrote BENCH_9.json";
   pass
 
+(* Every word the harness understands.  Anything else is rejected rather
+   than ignored, so a typo'd mode cannot silently run the full suite. *)
+let accepted_args =
+  [ "quick"; "--json"; "smoke"; "micro"; "mq"; "batch"; "fuzz"; "check"; "soak";
+    "blk-soak"; "blkperf"; "upgrade-soak"; "upgrade" ]
+
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
+  (match List.filter (fun a -> not (List.mem a accepted_args)) args with
+   | [] -> ()
+   | unknown ->
+     Printf.eprintf "bench/main.exe: unknown argument(s): %s\naccepted: %s\n"
+       (String.concat " " unknown) (String.concat " " accepted_args);
+     exit 2);
   let quick = List.mem "quick" args in
   let json = List.mem "--json" args in
   if List.mem "micro" args then begin

@@ -248,7 +248,7 @@ let interrupt_storm () =
                  device interrupt forever: unthrottled (ITR=0), interrupt
                  forced in a tight device-side loop via ICS. *)
               (match
-                 t.Mal_nic.pdev.Driver_api.pd_request_irq (fun () ->
+                 t.Mal_nic.pdev.Driver_api.pd_request_irqs ~n:1 (fun ~queue:_ ->
                      (* "processing" that never completes *)
                      let rec spin () =
                        t.Mal_nic.env.Driver_api.env_consume 100_000;
@@ -300,7 +300,7 @@ let msi_dma_storm ~iommu =
       let drv =
         Mal_nic.driver
           ~on_open:(fun t ->
-              (match t.Mal_nic.pdev.Driver_api.pd_request_irq (fun () -> ()) with
+              (match t.Mal_nic.pdev.Driver_api.pd_request_irqs ~n:1 (fun ~queue:_ -> ()) with
                | Ok () -> ()
                | Error e -> failwith e);
               (* Read our own MSI data register (reads are allowed) to

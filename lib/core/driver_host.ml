@@ -20,11 +20,6 @@ type started = {
 let pool_bufs = 128
 let pool_buf_size = 2048
 
-let find_device k (drv : Driver_api.net_driver) =
-  match Sysfs.match_ids k.Kernel.sysfs ~ids:drv.Driver_api.nd_ids with
-  | [] -> Error "no matching PCI device in sysfs"
-  | e :: _ -> Ok e.Sysfs.bdf
-
 let start_net_at k sp ?hang_timeout_ns ?queues ?adopt_netdev ?(unregister_on_exit = true)
     ?quota ?(epoch = 0) ~uid ~defensive_copy ~name ~bdf (drv : Driver_api.net_driver) =
   if Sud_obs.Trace.on () then
@@ -131,17 +126,6 @@ let start_net_at k sp ?hang_timeout_ns ?queues ?adopt_netdev ?(unregister_on_exi
               s_quota = quota;
               s_epoch = epoch })))
 
-let start_net k sp ?(uid = 1000) ?(defensive_copy = true) ?name ?bdf ?hang_timeout_ns
-    ?queues ?adopt_netdev ?unregister_on_exit ?quota ?epoch drv =
-  let name = Option.value ~default:drv.Driver_api.nd_name name in
-  let go bdf =
-    start_net_at k sp ?hang_timeout_ns ?queues ?adopt_netdev ?unregister_on_exit ?quota
-      ?epoch ~uid ~defensive_copy ~name ~bdf drv
-  in
-  match bdf with
-  | Some bdf -> go bdf
-  | None -> (match find_device k drv with Error e -> Error e | Ok bdf -> go bdf)
-
 let proc s = s.s_proc
 let netdev s = s.s_netdev
 let grant s = s.s_grant
@@ -170,7 +154,7 @@ let restart k sp s drv =
 
 let set_memory_limit s ~bytes = Process.setrlimit_memory s.s_proc ~bytes:(Some bytes)
 
-(* ---- generic prelude shared by the class starters ---- *)
+(* ---- generic prelude shared by the lighter class starters ---- *)
 
 let open_with_pool k sp ~uid ~name ~bdf =
   Safe_pci.register_device sp bdf;
@@ -203,41 +187,29 @@ let open_with_pool k sp ~uid ~name ~bdf =
        in
        Ok (proc, grant, pool, chan))
 
-let find_by_ids k ids what =
-  match Sysfs.match_ids k.Kernel.sysfs ~ids with
-  | [] -> Error ("no matching PCI device in sysfs for " ^ what)
-  | e :: _ -> Ok e.Sysfs.bdf
-
 type started_wifi = {
   w_proc : Process.t;
   w_proxy : Proxy_wifi.t;
   w_netdev : Netdev.t;
 }
 
-let start_wifi k sp ?(uid = 1000) ?name ?bdf (drv : Driver_api.wifi_driver) =
-  let name = Option.value ~default:drv.Driver_api.wd_name name in
-  let bdf_r =
-    match bdf with Some b -> Ok b | None -> find_by_ids k drv.Driver_api.wd_ids name
-  in
-  match bdf_r with
+let start_wifi_at k sp ~uid ~name ~bdf (drv : Driver_api.wifi_driver) =
+  match open_with_pool k sp ~uid ~name ~bdf with
   | Error e -> Error e
-  | Ok bdf ->
-    (match open_with_pool k sp ~uid ~name ~bdf with
-     | Error e -> Error e
-     | Ok (proc, grant, pool, chan) ->
-       let proxy = Proxy_wifi.create k ~chan ~grant ~pool ~name () in
-       let uml = Sud_uml.create k ~proc ~grant ~chan ~pool in
-       Process.on_exit proc (fun () ->
-           Uchan.close chan;
-           Proxy_net.unregister (Proxy_wifi.net proxy));
-       ignore
-         (Process.spawn_fiber proc ~name:(name ^ "-main") (fun () -> Sud_uml.serve_wifi uml drv)
-          : Fiber.t);
-       (match Proxy_wifi.wait_ready proxy ~timeout_ns:100_000_000 with
-        | None ->
-          Process.kill proc;
-          Error "wifi driver did not register"
-        | Some dev -> Ok { w_proc = proc; w_proxy = proxy; w_netdev = dev }))
+  | Ok (proc, grant, pool, chan) ->
+    let proxy = Proxy_wifi.create k ~chan ~grant ~pool ~name () in
+    let uml = Sud_uml.create k ~proc ~grant ~chan ~pool in
+    Process.on_exit proc (fun () ->
+        Uchan.close chan;
+        Proxy_net.unregister (Proxy_wifi.net proxy));
+    ignore
+      (Process.spawn_fiber proc ~name:(name ^ "-main") (fun () -> Sud_uml.serve_wifi uml drv)
+       : Fiber.t);
+    (match Proxy_wifi.wait_ready proxy ~timeout_ns:100_000_000 with
+     | None ->
+       Process.kill proc;
+       Error "wifi driver did not register"
+     | Some dev -> Ok { w_proc = proc; w_proxy = proxy; w_netdev = dev })
 
 let wifi_proxy s = s.w_proxy
 let wifi_netdev s = s.w_netdev
@@ -249,29 +221,22 @@ type started_audio = {
   a_proxy : Proxy_audio.t;
 }
 
-let start_audio k sp ?(uid = 1000) ?name ?bdf (drv : Driver_api.audio_driver) =
-  let name = Option.value ~default:drv.Driver_api.ad_name name in
-  let bdf_r =
-    match bdf with Some b -> Ok b | None -> find_by_ids k drv.Driver_api.ad_ids name
-  in
-  match bdf_r with
+let start_audio_at k sp ~uid ~name ~bdf (drv : Driver_api.audio_driver) =
+  match open_with_pool k sp ~uid ~name ~bdf with
   | Error e -> Error e
-  | Ok bdf ->
-    (match open_with_pool k sp ~uid ~name ~bdf with
-     | Error e -> Error e
-     | Ok (proc, grant, pool, chan) ->
-       let proxy = Proxy_audio.create k ~chan ~grant ~pool ~name () in
-       let uml = Sud_uml.create k ~proc ~grant ~chan ~pool in
-       Process.on_exit proc (fun () -> Uchan.close chan);
-       ignore
-         (Process.spawn_fiber proc ~name:(name ^ "-main") (fun () -> Sud_uml.serve_audio uml drv)
-          : Fiber.t);
-       if Proxy_audio.wait_ready proxy ~timeout_ns:100_000_000 then
-         Ok { a_proc = proc; a_proxy = proxy }
-       else begin
-         Process.kill proc;
-         Error "audio driver did not register"
-       end)
+  | Ok (proc, grant, pool, chan) ->
+    let proxy = Proxy_audio.create k ~chan ~grant ~pool ~name () in
+    let uml = Sud_uml.create k ~proc ~grant ~chan ~pool in
+    Process.on_exit proc (fun () -> Uchan.close chan);
+    ignore
+      (Process.spawn_fiber proc ~name:(name ^ "-main") (fun () -> Sud_uml.serve_audio uml drv)
+       : Fiber.t);
+    if Proxy_audio.wait_ready proxy ~timeout_ns:100_000_000 then
+      Ok { a_proc = proc; a_proxy = proxy }
+    else begin
+      Process.kill proc;
+      Error "audio driver did not register"
+    end
 
 let audio_proxy s = s.a_proxy
 let audio_proc s = s.a_proc
@@ -282,26 +247,19 @@ type started_usb = {
   u_proxy : Proxy_usb.t;
 }
 
-let start_usb k sp ?(uid = 1000) ?name ?bdf ~bind_storage ~bind_keyboard
+let start_usb_at k sp ~uid ~name ~bdf ~bind_storage ~bind_keyboard
     (drv : Driver_api.usb_host_driver) =
-  let name = Option.value ~default:drv.Driver_api.ud_name name in
-  let bdf_r =
-    match bdf with Some b -> Ok b | None -> find_by_ids k drv.Driver_api.ud_ids name
-  in
-  match bdf_r with
+  match open_with_pool k sp ~uid ~name ~bdf with
   | Error e -> Error e
-  | Ok bdf ->
-    (match open_with_pool k sp ~uid ~name ~bdf with
-     | Error e -> Error e
-     | Ok (proc, grant, pool, chan) ->
-       let proxy = Proxy_usb.create k ~chan ~grant ~pool ~name () in
-       let uml = Sud_uml.create k ~proc ~grant ~chan ~pool in
-       Process.on_exit proc (fun () -> Uchan.close chan);
-       ignore
-         (Process.spawn_fiber proc ~name:(name ^ "-main") (fun () ->
-              Sud_uml.serve_usb uml ~bind_storage ~bind_keyboard drv)
-          : Fiber.t);
-       Ok { u_proc = proc; u_proxy = proxy })
+  | Ok (proc, grant, pool, chan) ->
+    let proxy = Proxy_usb.create k ~chan ~grant ~pool ~name () in
+    let uml = Sud_uml.create k ~proc ~grant ~chan ~pool in
+    Process.on_exit proc (fun () -> Uchan.close chan);
+    ignore
+      (Process.spawn_fiber proc ~name:(name ^ "-main") (fun () ->
+           Sud_uml.serve_usb uml ~bind_storage ~bind_keyboard drv)
+       : Fiber.t);
+    Ok { u_proc = proc; u_proxy = proxy }
 
 let usb_proxy s = s.u_proxy
 let usb_proc s = s.u_proc
@@ -433,18 +391,6 @@ let start_blk_at k sp ?hang_timeout_ns ?request_timeout_ns ?queues ?adopt ?quota
                  b_quota = quota;
                  b_epoch = epoch })))
 
-let start_blk k sp ?(uid = 1000) ?name ?bdf ?hang_timeout_ns ?request_timeout_ns ?queues
-    ?adopt ?quota ?epoch drv =
-  let name = Option.value ~default:drv.Driver_api.bd_name name in
-  let go bdf =
-    start_blk_at k sp ?hang_timeout_ns ?request_timeout_ns ?queues ?adopt ?quota ?epoch
-      ~uid ~name ~bdf drv
-  in
-  match bdf with
-  | Some bdf -> go bdf
-  | None ->
-    (match find_by_ids k drv.Driver_api.bd_ids name with Error e -> Error e | Ok bdf -> go bdf)
-
 let blk_proc s = s.b_proc
 let blk_chan s = s.b_chan
 let blk_grant s = s.b_grant
@@ -462,8 +408,7 @@ let kill_blk s = Process.kill s.b_proc
 
 (* One entry point for every device class.  The GADT carries both the
    driver type the class consumes and the handle it produces, so
-   [launch] is the only spelling callers need; the per-class [start_*]
-   functions above survive as deprecated aliases for external trees. *)
+   [launch] is the only spelling callers need. *)
 type (_, _) cls =
   | Net : {
       defensive_copy : bool;
@@ -497,18 +442,40 @@ let launch : type d r.
   Kernel.t -> Safe_pci.t -> ?uid:int -> ?name:string -> ?bdf:Bus.bdf ->
   ?hang_timeout_ns:int -> ?queues:int -> ?quota:Quota.t -> ?epoch:int ->
   (d, r) cls -> d -> (r, string) result =
-  fun k sp ?uid ?name ?bdf ?hang_timeout_ns ?queues ?quota ?epoch cls drv ->
-  match cls with
-  | Net { defensive_copy; adopt_netdev; unregister_on_exit } ->
-    start_net k sp ?uid ~defensive_copy ?name ?bdf ?hang_timeout_ns ?queues
-      ?adopt_netdev ?unregister_on_exit ?quota ?epoch drv
-  | Blk { adopt; request_timeout_ns } ->
-    start_blk k sp ?uid ?name ?bdf ?hang_timeout_ns ?request_timeout_ns ?queues ?adopt
-      ?quota ?epoch drv
-  | Wifi -> start_wifi k sp ?uid ?name ?bdf drv
-  | Audio -> start_audio k sp ?uid ?name ?bdf drv
-  | Usb { bind_storage; bind_keyboard } ->
-    start_usb k sp ?uid ?name ?bdf ~bind_storage ~bind_keyboard drv
+  fun k sp ?(uid = 1000) ?name ?bdf ?hang_timeout_ns ?queues ?quota ?epoch cls drv ->
+  (* Every class resolves its process name and device the same way: the
+     driver's own name, and the first sysfs device its ID table matches. *)
+  let drv_name, ids =
+    match cls with
+    | Net _ -> drv.Driver_api.nd_name, drv.Driver_api.nd_ids
+    | Blk _ -> drv.Driver_api.bd_name, drv.Driver_api.bd_ids
+    | Wifi -> drv.Driver_api.wd_name, drv.Driver_api.wd_ids
+    | Audio -> drv.Driver_api.ad_name, drv.Driver_api.ad_ids
+    | Usb _ -> drv.Driver_api.ud_name, drv.Driver_api.ud_ids
+  in
+  let name = Option.value ~default:drv_name name in
+  let bdf =
+    match bdf with
+    | Some b -> Ok b
+    | None ->
+      (match Sysfs.match_ids k.Kernel.sysfs ~ids with
+       | [] -> Error ("no matching PCI device in sysfs for " ^ name)
+       | e :: _ -> Ok e.Sysfs.bdf)
+  in
+  match bdf with
+  | Error e -> Error e
+  | Ok bdf ->
+    (match cls with
+     | Net { defensive_copy; adopt_netdev; unregister_on_exit } ->
+       start_net_at k sp ?hang_timeout_ns ?queues ?adopt_netdev ?unregister_on_exit ?quota
+         ?epoch ~uid ~defensive_copy ~name ~bdf drv
+     | Blk { adopt; request_timeout_ns } ->
+       start_blk_at k sp ?hang_timeout_ns ?request_timeout_ns ?queues ?adopt ?quota ?epoch
+         ~uid ~name ~bdf drv
+     | Wifi -> start_wifi_at k sp ~uid ~name ~bdf drv
+     | Audio -> start_audio_at k sp ~uid ~name ~bdf drv
+     | Usb { bind_storage; bind_keyboard } ->
+       start_usb_at k sp ~uid ~name ~bdf ~bind_storage ~bind_keyboard drv)
 
 (* ---- warm-standby generations ---- *)
 

@@ -6,49 +6,11 @@
     driver's UID, spawn the driver process, open the device, set up the
     shared buffer pool and uchan, start the kernel-side proxy and the
     SUD-UML dispatch loop, and wait for the driver to register with its
-    class subsystem.  The class-specific [start_*] spellings survive as
-    deprecated aliases for external trees.
+    class subsystem.
 
     Must be called from a fiber. *)
 
 type started
-
-val start_net :
-  Kernel.t ->
-  Safe_pci.t ->
-  ?uid:int ->
-  ?defensive_copy:bool ->
-  ?name:string ->
-  ?bdf:Bus.bdf ->
-  ?hang_timeout_ns:int ->
-  ?queues:int ->
-  ?adopt_netdev:Netdev.t ->
-  ?unregister_on_exit:bool ->
-  ?quota:Quota.t ->
-  ?epoch:int ->
-  Driver_api.net_driver ->
-  (started, string) result
-  [@@deprecated "use Driver_host.launch with Driver_host.net"]
-(** Defaults: [uid] 1000, defensive copy on, [name] the driver's name,
-    device found by the driver's ID table.  [hang_timeout_ns] tunes the
-    uchan's sync-upcall deadline.  [queues] is the number of uchan ring
-    pairs (default: the device's MSI-X table size, capped at
-    {!Uchan.max_queues}) — the datapath width the driver sees through
-    [pd_msix_vectors].  The supervisor passes [adopt_netdev] (reuse a
-    surviving netdev instead of registering a new one) and
-    [unregister_on_exit:false] (it owns the netdev's lifecycle; process
-    death must not tear the interface down).
-
-    With [quota], the driver's whole footprint is charged to the ledger:
-    the device grant and its DMA mappings (via {!Safe_pci.open_device}),
-    the uchan ring memory (the queue count is first {e negotiated} down
-    until the footprint fits the remaining budget), and every
-    driver-side notification kick draws a token
-    ({!Quota.note_notify}).  [epoch] (default 0) is the uchan generation
-    stamp: the channel stamps it into every outgoing header and its
-    conformance validator rejects ingress frames carrying any other —
-    {!restart} starts the replacement at [epoch + 1], so frames replayed
-    from a dead generation adjudicate as stale. *)
 
 val proc : started -> Process.t
 val netdev : started -> Netdev.t
@@ -87,16 +49,6 @@ val set_memory_limit : started -> bytes:int -> unit
 
 type started_wifi
 
-val start_wifi :
-  Kernel.t ->
-  Safe_pci.t ->
-  ?uid:int ->
-  ?name:string ->
-  ?bdf:Bus.bdf ->
-  Driver_api.wifi_driver ->
-  (started_wifi, string) result
-  [@@deprecated "use Driver_host.launch with Driver_host.wifi"]
-
 val wifi_proxy : started_wifi -> Proxy_wifi.t
 val wifi_netdev : started_wifi -> Netdev.t
 val wifi_proc : started_wifi -> Process.t
@@ -104,67 +56,19 @@ val kill_wifi : started_wifi -> unit
 
 type started_audio
 
-val start_audio :
-  Kernel.t ->
-  Safe_pci.t ->
-  ?uid:int ->
-  ?name:string ->
-  ?bdf:Bus.bdf ->
-  Driver_api.audio_driver ->
-  (started_audio, string) result
-  [@@deprecated "use Driver_host.launch with Driver_host.audio"]
-
 val audio_proxy : started_audio -> Proxy_audio.t
 val audio_proc : started_audio -> Process.t
 val kill_audio : started_audio -> unit
 
 type started_usb
 
-val start_usb :
-  Kernel.t ->
-  Safe_pci.t ->
-  ?uid:int ->
-  ?name:string ->
-  ?bdf:Bus.bdf ->
-  bind_storage:(Driver_api.usb_dev_handle -> (Driver_api.block_instance, string) result) ->
-  bind_keyboard:
-    (Driver_api.env -> Driver_api.usb_dev_handle -> Driver_api.input_callbacks -> unit) ->
-  Driver_api.usb_host_driver ->
-  (started_usb, string) result
-  [@@deprecated "use Driver_host.launch with Driver_host.usb"]
-(** The USB host proxy: block and input surfaces appear as the driver
-    process enumerates its bus; use {!Proxy_usb.wait_block}. *)
-
 val usb_proxy : started_usb -> Proxy_usb.t
 val usb_proc : started_usb -> Process.t
 val kill_usb : started_usb -> unit
 
-(** {1 sud-blk: asynchronous multiqueue block}
-
-    [start_blk] mirrors [start_net]'s full sequence — sysfs match,
-    chown, spawn, grant, shared pool (sized for fully merged 64-sector
-    requests), quota-negotiated uchan rings — and waits for the driver
-    to register its block device.  The supervisor passes [adopt] (the
-    {!Proxy_blk.persist} record carrying tags, in-flight table and
-    unflushed retention across generations) so recovery can replay. *)
+(** {1 sud-blk: asynchronous multiqueue block} *)
 
 type started_blk
-
-val start_blk :
-  Kernel.t ->
-  Safe_pci.t ->
-  ?uid:int ->
-  ?name:string ->
-  ?bdf:Bus.bdf ->
-  ?hang_timeout_ns:int ->
-  ?request_timeout_ns:int ->
-  ?queues:int ->
-  ?adopt:Proxy_blk.persist ->
-  ?quota:Quota.t ->
-  ?epoch:int ->
-  Driver_api.blk_driver ->
-  (started_blk, string) result
-  [@@deprecated "use Driver_host.launch with Driver_host.blk"]
 
 val blk_proc : started_blk -> Process.t
 val blk_chan : started_blk -> Uchan.t
@@ -214,13 +118,26 @@ val net :
   ?unregister_on_exit:bool ->
   unit ->
   (Driver_api.net_driver, started) cls
-(** Class witness for Ethernet; options mirror the old [start_net]. *)
+(** Class witness for Ethernet.  [defensive_copy] (default on) is the
+    §3.1.2 copy of every received frame out of shared memory; [false]
+    reproduces the TOCTOU-vulnerable configuration.  The
+    supervisor passes [adopt_netdev] (reuse a surviving netdev instead
+    of registering a new one) and [unregister_on_exit:false] (it owns
+    the netdev's lifecycle; process death must not tear the interface
+    down). *)
 
 val blk :
   ?adopt:Proxy_blk.persist ->
   ?request_timeout_ns:int ->
   unit ->
   (Driver_api.blk_driver, started_blk) cls
+(** Class witness for sud-blk: the full net-style sequence with a shared
+    pool sized for fully merged 64-sector requests, waiting for the
+    driver to register its block device.  The supervisor passes [adopt]
+    (the {!Proxy_blk.persist} record carrying tags, in-flight table and
+    unflushed retention across generations) so recovery can replay;
+    [request_timeout_ns] is {!Proxy_blk.create}'s hung-request
+    deadline. *)
 
 val wifi : (Driver_api.wifi_driver, started_wifi) cls
 val audio : (Driver_api.audio_driver, started_audio) cls
@@ -230,6 +147,8 @@ val usb :
   bind_keyboard:
     (Driver_api.env -> Driver_api.usb_dev_handle -> Driver_api.input_callbacks -> unit) ->
   (Driver_api.usb_host_driver, started_usb) cls
+(** The USB host proxy: block and input surfaces appear as the driver
+    process enumerates its bus; use {!Proxy_usb.wait_block}. *)
 
 val launch :
   Kernel.t ->
@@ -244,10 +163,27 @@ val launch :
   ('d, 'r) cls ->
   'd ->
   ('r, string) result
-(** Start an untrusted driver of any class.  The shared options mean
-    the same thing for every class ([queues]/[quota]/[epoch] are
-    accepted — and meaningful — only for the quota-negotiated net and
-    blk datapaths; the lighter classes ignore them). *)
+(** Start an untrusted driver of any class.  Defaults: [uid] 1000,
+    [name] the driver's name, device the first sysfs entry its ID table
+    matches.  The remaining options are meaningful only for the
+    quota-negotiated net and blk datapaths; the lighter classes ignore
+    them:
+
+    - [hang_timeout_ns] tunes the uchan's sync-upcall deadline.
+    - [queues] is the number of uchan ring pairs (default: the device's
+      MSI-X table size, capped at {!Uchan.max_queues}) — the datapath
+      width the driver sees through [pd_msix_vectors].
+    - With [quota], the driver's whole footprint is charged to the
+      ledger: the device grant and its DMA mappings (via
+      {!Safe_pci.open_device}), the uchan ring memory (the queue count
+      is first {e negotiated} down until the footprint fits the
+      remaining budget), and every driver-side notification kick draws a
+      token ({!Quota.note_notify}).
+    - [epoch] (default 0) is the uchan generation stamp: the channel
+      stamps it into every outgoing header and its conformance validator
+      rejects ingress frames carrying any other — {!restart} starts the
+      replacement at [epoch + 1], so frames replayed from a dead
+      generation adjudicate as stale. *)
 
 (** {1 Warm-standby generations}
 

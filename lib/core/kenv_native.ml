@@ -131,7 +131,6 @@ let pcidev (k : Kernel.t) bdf ~label =
             Ok ()
         end
     in
-    let request_irq handler = request_irqs ~n:1 (fun ~queue:_ -> handler ()) in
     let free_irq () =
       match !vectors with
       | Some vs ->
@@ -150,7 +149,6 @@ let pcidev (k : Kernel.t) bdf ~label =
         pd_io_bar = io_bar;
         pd_alloc_dma = alloc_dma;
         pd_free_dma = free_dma;
-        pd_request_irq = request_irq;
         pd_request_irqs = request_irqs;
         pd_free_irq = free_irq;
         pd_irq_ack = (fun ?queue:_ () -> ());

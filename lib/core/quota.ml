@@ -186,7 +186,7 @@ let charge_uchan t ~bytes =
 
 let release_uchan t ~bytes = t.uchan_bytes <- max 0 (t.uchan_bytes - bytes)
 
-(* Quota negotiation at Driver_host.start: rather than failing a start
+(* Quota negotiation at Driver_host.launch: rather than failing a start
    whose ring footprint exceeds the budget, clamp the queue count until
    it fits (queue 0 always survives — a channel must exist).  Returns
    the negotiated count; the caller then charges exactly that. *)

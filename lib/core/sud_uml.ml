@@ -86,7 +86,6 @@ let pcidev t =
     pd_io_bar = (fun bar -> Safe_pci.claim_io g ~bar);
     pd_alloc_dma = (fun ?coherent ~bytes () -> Safe_pci.alloc_dma g ?coherent ~bytes ());
     pd_free_dma = (fun r -> Safe_pci.free_dma g r);
-    pd_request_irq = (fun handler -> request_irqs ~n:1 (fun ~queue:_ -> handler ()));
     pd_request_irqs = request_irqs;
     pd_free_irq =
       (fun () ->

@@ -79,10 +79,6 @@ let create ~mode () =
 let mode t = t.mode
 let metrics t = match t.m with Some m -> m | None -> assert false
 
-let iotlb_stats t =
-  { hits = t.tlb_hits; misses = t.tlb_misses;
-    evictions = Sud_obs.Metrics.get (metrics t).im_evictions }
-
 let iotlb_slot source vpage = (vpage lxor (source * 7919)) land (iotlb_slots - 1)
 
 let iotlb_drop_page t ~source ~vpage =
@@ -308,8 +304,6 @@ let iotlb_flush t d =
   iotlb_drop_source t ~source:d.dom_source;
   Sud_obs.Metrics.incr (metrics t).im_flushes
 
-let iotlb_flushes t = Sud_obs.Metrics.get (metrics t).im_flushes
-
 let faults t = List.rev t.flt
 let clear_faults t = t.flt <- []
 
@@ -332,5 +326,3 @@ let ir_block_source t ~source =
 let ir_check t ~source ~vector =
   if not (ir_available t) then true
   else Hashtbl.mem t.ir_table (source, vector)
-
-let ir_updates t = Sud_obs.Metrics.get (metrics t).im_ir_writes

@@ -89,10 +89,6 @@ val metrics : t -> metrics
 
 type iotlb_stats = { hits : int; misses : int; evictions : int }
 
-val iotlb_stats : t -> iotlb_stats
-  [@@deprecated "read the Sud_obs registry handles via Iommu.metrics instead"]
-(** Cumulative hit/miss/conflict-eviction counters since creation. *)
-
 val mappings : domain -> (int * int * int * bool) list
 (** [(iova, phys, len, writable)] runs, contiguous entries merged, sorted
     by iova — the paper's Figure 9 listing.  The Intel implicit MSI mapping
@@ -100,9 +96,6 @@ val mappings : domain -> (int * int * int * bool) list
     want Figure 9's last row add it according to {!mode}. *)
 
 val iotlb_flush : t -> domain -> unit
-
-val iotlb_flushes : t -> int
-  [@@deprecated "read Metrics.get (Iommu.metrics t).im_flushes instead"]
 
 val faults : t -> Bus.fault list
 (** Accumulated translation faults, oldest first. *)
@@ -123,7 +116,3 @@ val ir_block_source : t -> source:Bus.bdf -> unit
 val ir_check : t -> source:Bus.bdf -> vector:int -> bool
 (** Whether the remap table passes this message.  Always true when
     interrupt remapping is unavailable (the testbed's weakness). *)
-
-val ir_updates : t -> int
-  [@@deprecated "read Metrics.get (Iommu.metrics t).im_ir_writes instead"]
-(** Number of remap-table writes, for the ablation bench. *)

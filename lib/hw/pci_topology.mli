@@ -87,19 +87,10 @@ val routing_faults : t -> Bus.fault list
 
 type metrics = {
   pm_p2p : Sud_obs.Metrics.counter;
+      (** peer-to-peer transactions delivered directly — each one is a
+          successful attack in an unprotected configuration *)
   pm_msi : Sud_obs.Metrics.counter;
   pm_ir_blocked : Sud_obs.Metrics.counter;
 }
 
 val metrics : t -> metrics
-
-val p2p_delivered : t -> int
-  [@@deprecated "read Metrics.get (Pci_topology.metrics t).pm_p2p instead"]
-(** Count of peer-to-peer transactions that were delivered directly — each
-    one is a successful attack in an unprotected configuration. *)
-
-val msi_delivered : t -> int
-  [@@deprecated "read Metrics.get (Pci_topology.metrics t).pm_msi instead"]
-
-val msi_blocked_by_ir : t -> int
-  [@@deprecated "read Metrics.get (Pci_topology.metrics t).pm_ir_blocked instead"]

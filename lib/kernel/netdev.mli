@@ -123,9 +123,6 @@ type metrics = {
 
 val metrics : t -> metrics
 
-val backlog_stats : t -> backlog_stats
-  [@@deprecated "read the Sud_obs registry handles via Netdev.metrics instead"]
-
 val netif_rx : t -> Skbuff.t -> unit
 (** Hand a received frame to the stack (non-blocking; callable from atomic
     context).  Frames arriving before the device is registered are
@@ -133,26 +130,3 @@ val netif_rx : t -> Skbuff.t -> unit
 
 val set_stack_rx : t -> (Skbuff.t -> unit) -> unit
 (** Installed by the net stack at registration. *)
-
-(** {1 Deprecated scalar shims (the queue-0 instances)} *)
-
-val queue_stopped : t -> bool
-  [@@deprecated "use Netdev.subqueue_stopped ~queue:0"]
-
-val netif_stop_queue : t -> unit
-  [@@deprecated "use Netdev.netif_stop_subqueue ~queue:0"]
-
-val netif_wake_queue : t -> unit
-  [@@deprecated "use Netdev.netif_wake_subqueue ~queue:0 (or netif_tx_wake_all_queues)"]
-
-val tx_waitq : t -> Sync.Waitq.t
-  [@@deprecated "use Netdev.tx_subqueue_waitq ~queue:0"]
-
-val tx_lock : t -> Sync.Mutex.t
-  [@@deprecated "use Netdev.tx_subqueue_lock ~queue:0"]
-
-val backlog_xmit : t -> limit:int -> Skbuff.t -> xmit_result
-  [@@deprecated "use Netdev.backlog_push ~queue:0"]
-
-val backlog_take : t -> Skbuff.t option
-  [@@deprecated "use Netdev.backlog_pop ~queue:0"]

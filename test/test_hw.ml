@@ -3,8 +3,7 @@
 
 let mode_vtd = Iommu.Intel_vtd { interrupt_remapping = false }
 
-(* New-API reads of the IOMMU registry handles (the deprecated
-   Iommu.iotlb_stats/iotlb_flushes shims are exercised in test_obs.ml). *)
+(* IOTLB counters, read from the IOMMU's registry handles. *)
 let iotlb_stats io =
   let m = Iommu.metrics io in
   { Iommu.hits = Sud_obs.Metrics.gauge_value m.Iommu.im_hits;

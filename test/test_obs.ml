@@ -1,6 +1,6 @@
 (* The observability layer: metrics registry semantics, trace-ring
    accounting under random span storms, JSONL round-trips, causal chain
-   queries, the sysfs nodes, and the deprecated-shim equivalences. *)
+   queries, and the sysfs nodes. *)
 
 module M = Sud_obs.Metrics
 module T = Sud_obs.Trace
@@ -216,25 +216,6 @@ let test_metrics_per_queue_labels () =
       "queue_backlog_offered{dev=eth0,queue=3}";
       "queue_backlog_replayed{dev=eth0,queue=3}" ]
 
-(* ---- deprecated shims still agree with the registry ---- *)
-
-[@@@alert "-deprecated"]
-
-let test_shims_agree () =
-  let io = Iommu.create ~mode:(Iommu.Intel_vtd { interrupt_remapping = false }) () in
-  let d = Iommu.attach io ~source:3 in
-  Iommu.map io d ~iova:0x1000 ~phys:0x2000 ~len:4096 ~writable:true;
-  ignore (Iommu.translate io ~source:3 ~addr:0x1000 ~dir:Bus.Dma_read : [ `Fault of Bus.fault | `Msi | `Phys of int ]);
-  ignore (Iommu.translate io ~source:3 ~addr:0x1000 ~dir:Bus.Dma_read
-          : [ `Fault of Bus.fault | `Msi | `Phys of int ]);
-  let st = Iommu.iotlb_stats io in
-  let m = Iommu.metrics io in
-  Alcotest.(check int) "hits shim" (M.gauge_value m.Iommu.im_hits) st.Iommu.hits;
-  Alcotest.(check int) "misses shim" (M.gauge_value m.Iommu.im_misses) st.Iommu.misses;
-  Alcotest.(check int) "flush shim" (M.get m.Iommu.im_flushes) (Iommu.iotlb_flushes io);
-  Alcotest.(check int) "hits saw traffic" 1 st.Iommu.hits;
-  Alcotest.(check int) "misses saw traffic" 1 st.Iommu.misses
-
 let suite =
   [ Alcotest.test_case "metrics: counter/gauge/histogram" `Quick
       test_counter_gauge_histogram;
@@ -248,6 +229,5 @@ let suite =
       test_remember_recall_current;
     Alcotest.test_case "sysfs: /sys/kernel/sud_metrics" `Quick test_sysfs_metrics_node;
     Alcotest.test_case "sudctl metrics: per-queue labels" `Quick
-      test_metrics_per_queue_labels;
-    Alcotest.test_case "deprecated shims agree with registry" `Quick test_shims_agree ]
+      test_metrics_per_queue_labels ]
   @ List.map QCheck_alcotest.to_alcotest [ hist_bucket_sum_test; trace_accounting_test ]

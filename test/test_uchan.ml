@@ -50,17 +50,15 @@ let test_ring_fifo () =
   Alcotest.(check bool) "empty" true (Ring.is_empty r);
   for i = 1 to 4 do
     Alcotest.(check bool) "push" true
-      (Ring.try_push r (Msg.marshal (Msg.make ~kind:i ())))
+      (Ring.push_inplace r (Msg.marshal_into (Msg.make ~kind:i ())))
   done;
   Alcotest.(check bool) "full" true (Ring.is_full r);
   Alcotest.(check bool) "push on full fails" false
-    (Ring.try_push r (Msg.marshal (Msg.make ~kind:9 ())));
+    (Ring.push_inplace r (Msg.marshal_into (Msg.make ~kind:9 ())));
   for i = 1 to 4 do
-    match Ring.try_pop r with
-    | Some slot ->
-      (match Msg.unmarshal slot with
-       | Ok m -> Alcotest.(check int) "FIFO order" i m.Msg.kind
-       | Error e -> Alcotest.fail e)
+    match Ring.pop_inplace r Msg.unmarshal_view with
+    | Some (Ok m) -> Alcotest.(check int) "FIFO order" i m.Msg.kind
+    | Some (Error e) -> Alcotest.fail e
     | None -> Alcotest.fail "pop"
   done;
   Alcotest.(check bool) "drained" true (Ring.is_empty r)
@@ -290,17 +288,15 @@ let qcheck_cases =
            (fun op ->
               if op = 0 then begin
                 incr next;
-                let pushed = Ring.try_push r (Msg.marshal (Msg.make ~kind:(!next land 0x7FFF) ())) in
-                if pushed then Queue.push (!next land 0x7FFF) model
+                let kind = !next land 0x7FFF in
+                if Ring.push_inplace r (Msg.marshal_into (Msg.make ~kind ())) then
+                  Queue.push kind model
               end
               else
-                match (Ring.try_pop r, Queue.take_opt model) with
+                match (Ring.pop_inplace r Msg.unmarshal_view, Queue.take_opt model) with
                 | None, None -> ()
-                | Some slot, Some expect ->
-                  (match Msg.unmarshal slot with
-                   | Ok m -> if m.Msg.kind <> expect then ok := false
-                   | Error _ -> ok := false)
-                | Some _, None | None, Some _ -> ok := false)
+                | Some (Ok m), Some expect -> if m.Msg.kind <> expect then ok := false
+                | Some (Error _), Some _ | Some _, None | None, Some _ -> ok := false)
            ops;
          !ok && Ring.length r = Queue.length model);
     (* Batch container: a marshalled slot round-trips every entry, and a
