@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke bench-mq bench-batch bench-blk soak blk-smoke upgrade-smoke bench-upgrade fuzz-smoke check-smoke trace-smoke clean
+.PHONY: all build test bench bench-smoke bench-mq bench-batch bench-blk soak blk-smoke upgrade-smoke bench-upgrade fuzz-smoke check-smoke trace-smoke perfbench-smoke clean
 
 all: build
 
@@ -89,6 +89,14 @@ check-smoke:
 # detect -> kill -> restart causal chain.
 trace-smoke:
 	dune exec bin/sudctl.exe -- trace smoke
+
+# Benchmark smoke: each perfbench workload at --seconds 1 (about 7 s in
+# all).  Fails on any nonzero exit: an output check, the
+# CPU-ledger closure or a determinism check.
+perfbench-smoke:
+	for w in net-udp-rx net-tcp-stream blk-mixed fault-explore; do \
+	  python3 perfbench/run.py --workload $$w --seed 7 --seconds 1 --trace 0 || exit 1; \
+	done
 
 clean:
 	dune clean

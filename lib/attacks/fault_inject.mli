@@ -198,9 +198,19 @@ type soak_report = {
       (** malformed uchan slots plus corrupt batch frames dropped, summed
           across every driver generation (each generation has fresh
           counters) *)
+  sr_corrupt_carried : int;
+      (** injected reply and batch-frame corruptions some u2k slot
+          actually carried ({!Uchan.corruptions_carried}), summed the
+          same way *)
   sr_violations : string list;  (** invariant failures; must be [] *)
   sr_sched : sched_summary;
 }
+
+val uncounted_corruption : soak_report -> string option
+(** The soak's malformed-count post-check: [Some violation] when a slot
+    carried an injected corruption ([sr_corrupt_carried > 0]) yet no slot
+    was counted malformed.  A corruption still pending when a later
+    reply fault or the driver's death overtook it does not count. *)
 
 val outage_bound_ns : int
 (** Any single recovery outage above this is reported as a violation. *)
@@ -222,8 +232,8 @@ val soak :
     mapped iova still answers from the IOTLB.  At the end: supervisor
     [Running], backlog accounting exact
     ([offered = queued + dropped + replayed]), every outage bounded, and
-    — when any corruption was injected — at least one slot counted
-    malformed over the run. *)
+    — when any slot carried an injected corruption — at least one slot
+    counted malformed over the run ({!uncounted_corruption}). *)
 
 (** {1 Per-class recovery latency (bench)} *)
 

@@ -77,9 +77,7 @@ let device_files t bdf =
 
 let model t = Cpu.cost_model t.k.Kernel.cpu
 
-let proc_label g = "proc:" ^ Process.name g.g_proc
-
-let charge g ns = Driver_api.charge g.g.k.Kernel.cpu ~label:(proc_label g) ns
+let charge g ns = Driver_api.charge g.g.k.Kernel.cpu ~label:(Process.cpu_label g.g_proc) ns
 
 let klogf t lvl fmt = Klog.printk t.k.Kernel.klog lvl fmt
 

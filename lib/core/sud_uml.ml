@@ -20,7 +20,7 @@ let create k ~proc ~grant ~chan ~pool =
       grant;
       chan;
       pool;
-      label = "proc:" ^ Process.name proc;
+      label = Process.cpu_label proc;
       irq_handler = None;
       work = Sync.Mailbox.create ~capacity:64;
       n_upcalls = 0;

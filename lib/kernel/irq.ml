@@ -19,6 +19,7 @@ type t = {
   mutable next_vector : int;
   mutable free_pool : int list;    (* freed vectors awaiting reuse, ascending *)
   qm : metrics;
+  cpu_labels : string array;      (* per sim CPU: "kernel:irq:cpuN" *)
 }
 and metrics = {
   qm_delivered : Sud_obs.Metrics.counter;
@@ -40,7 +41,8 @@ let create eng cpu preempt klog =
     qm =
       { qm_delivered = c "delivered";
         qm_spurious = c "spurious";
-        qm_masked_dropped = c "masked_dropped" } }
+        qm_masked_dropped = c "masked_dropped" };
+    cpu_labels = Array.init (Cpu.cores cpu) (Printf.sprintf "kernel:irq:cpu%d") }
 
 (* The deliverable vector space is the MSI message's data[7:0] — 256
    vectors, the first 32 reserved, exactly x86's budget.  Numbers past
@@ -157,7 +159,7 @@ let deliver t ~source ~vector =
   | Some entry ->
     (* Delivery cost lands on the vector's affine CPU's ledger. *)
     Cpu.account t.cpu
-      ~label:(Printf.sprintf "kernel:irq:cpu%d" entry.affinity)
+      ~label:t.cpu_labels.(entry.affinity)
       model.Cost_model.irq_deliver_ns;
     entry.hits <- entry.hits + 1;
     (* Top halves run atomically: blocking inside one is a bug the

@@ -69,8 +69,7 @@ type t = {
 
 let model t = Cpu.cost_model t.cpu
 
-let label t =
-  "proc:" ^ Process.name (Process.current t.procs)
+let label t = Process.cpu_label (Process.current t.procs)
 
 let consume t ns = Cpu.consume t.cpu ~label:(label t) ns
 

@@ -6,6 +6,7 @@ type t = {
   ppid : int;
   puid : int;
   pname : string;
+  plabel : string;
   eng : Engine.t;
   mutable alive : bool;
   mutable fibers : Fiber.t list;
@@ -27,6 +28,7 @@ let make_proc eng ~pid ~uid ~name =
   { ppid = pid;
     puid = uid;
     pname = name;
+    plabel = "proc:" ^ name;
     eng;
     alive = true;
     fibers = [];
@@ -50,6 +52,7 @@ let spawn table ~name ~uid =
 let pid t = t.ppid
 let uid t = t.puid
 let name t = t.pname
+let cpu_label t = t.plabel
 let is_alive t = t.alive
 let find table ~pid = List.find_opt (fun p -> p.ppid = pid) table.procs
 let all table = List.rev table.procs

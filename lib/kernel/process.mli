@@ -21,6 +21,12 @@ val spawn : table -> name:string -> uid:int -> t
 val pid : t -> int
 val uid : t -> int
 val name : t -> string
+
+val cpu_label : t -> string
+(** ["proc:" ^ name t], the {!Cpu} label the process's CPU time is
+    charged under.  One string per process, so {!Cpu} finds its counter
+    without rehashing it. *)
+
 val is_alive : t -> bool
 val find : table -> pid:int -> t option
 val all : table -> t list

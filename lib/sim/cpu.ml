@@ -4,21 +4,60 @@ type t = {
   model : Cost_model.t;
   mutable busy : int;
   by_label : (string, int ref) Hashtbl.t;
+  (* The last few labels charged, matched by physical equality.  Callers
+     pass the same string on every charge (a literal, or the one label
+     string a process keeps), so a hit skips hashing the label. *)
+  memo_label : string array;
+  memo_count : int ref array;
+  mutable memo_len : int;
+  mutable memo_next : int;
 }
+
+let memo_size = 8
 
 let create eng ~cores model =
   if cores <= 0 then invalid_arg "Cpu.create: need at least one core";
-  { eng; free_at = Array.make cores 0; model; busy = 0; by_label = Hashtbl.create 16 }
+  { eng;
+    free_at = Array.make cores 0;
+    model;
+    busy = 0;
+    by_label = Hashtbl.create 16;
+    memo_label = Array.make memo_size "";
+    memo_count = Array.make memo_size (ref 0);
+    memo_len = 0;
+    memo_next = 0 }
 
 let cores t = Array.length t.free_at
 let cost_model t = t.model
 let engine t = t.eng
 
+let counter t label =
+  let rec scan i =
+    if i = t.memo_len then begin
+      let r =
+        match Hashtbl.find_opt t.by_label label with
+        | Some r -> r
+        | None ->
+          let r = ref 0 in
+          Hashtbl.add t.by_label label r;
+          r
+      in
+      let slot = t.memo_next in
+      t.memo_label.(slot) <- label;
+      t.memo_count.(slot) <- r;
+      t.memo_next <- (slot + 1) mod memo_size;
+      t.memo_len <- max t.memo_len (slot + 1);
+      r
+    end
+    else if t.memo_label.(i) == label then t.memo_count.(i)
+    else scan (i + 1)
+  in
+  scan 0
+
 let charge t label ns =
   t.busy <- t.busy + ns;
-  match Hashtbl.find_opt t.by_label label with
-  | Some r -> r := !r + ns
-  | None -> Hashtbl.add t.by_label label (ref ns)
+  let r = counter t label in
+  r := !r + ns
 
 let pick_core t =
   let best = ref 0 in

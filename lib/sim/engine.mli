@@ -3,12 +3,19 @@
     All simulated activity — fibers, hardware, timers — is driven from a
     single ordered event queue.  Time is in nanoseconds of simulated time.
     Events scheduled for the same instant fire in scheduling order, which
-    makes every run reproducible. *)
+    makes every run reproducible.
+
+    The queue has two tiers.  Events due at the instant being executed
+    sit in a FIFO ring: every delay-0 event, and each future instant as
+    the clock reaches it.  Only events due later sit in a 4-ary heap
+    keyed on [(time, seq)].  Which events fire, and in what order, is the
+    same as one queue ordered by [(time, seq)]. *)
 
 type t
 
 type handle
-(** A scheduled event, cancellable until it fires. *)
+(** A scheduled event, cancellable until it fires.  The handle is the
+    queued event itself, so scheduling allocates one record. *)
 
 val create : ?seed:int64 -> unit -> t
 (** Fresh engine at time 0.  [seed] initializes the engine's root RNG
@@ -29,7 +36,10 @@ val schedule_now : t -> (unit -> unit) -> handle
     instant. *)
 
 val cancel : handle -> unit
-(** Cancelling an already-fired event is a no-op. *)
+(** Cancelling an already-fired event is a no-op.  A cancelled event
+    stays queued until the clock reaches it and is then dropped
+    unfired.  Without a picker, reaching it still advances the clock to
+    its time; with a picker installed it never moves the clock. *)
 
 val run : ?max_time:int -> ?max_events:int -> t -> unit
 (** Process events until the queue is empty or a limit is hit.  [max_time]
@@ -37,7 +47,9 @@ val run : ?max_time:int -> ?max_events:int -> t -> unit
     times remain queued). *)
 
 val pending : t -> int
-(** Number of queued (uncancelled or cancelled-but-unreaped) events. *)
+(** Events queued in either tier, cancelled ones included until they
+    are reaped (when their instant is reached, or — with a picker — when
+    they reach the head of the queue). *)
 
 (** {1 Scheduler policy hooks}
 

@@ -66,6 +66,9 @@ type t = {
   mutable corrupt_next : int;
   mutable drop_next : int;
   mutable corrupt_batch_next : int;
+  (* Injected corruptions a pushed slot actually carried: a pending one
+     can be overtaken (a dropped reply goes first) or die with the driver. *)
+  mutable corruptions_carried : int;
   mutable u2k_mutator : (queue:int -> bytes -> unit) option;
   (* Observer called before each driver-side worker kick — the quota
      layer hangs its notification token bucket here. *)
@@ -80,7 +83,7 @@ type t = {
 let model t = Cpu.cost_model t.k.Kernel.cpu
 
 let consume_cur t ns =
-  let label = "proc:" ^ Process.name (Process.current t.k.Kernel.procs) in
+  let label = Process.cpu_label (Process.current t.k.Kernel.procs) in
   match Fiber.self () with
   | _ -> Cpu.consume t.k.Kernel.cpu ~label ns
   | exception Failure _ -> Cpu.account t.k.Kernel.cpu ~label ns
@@ -319,6 +322,7 @@ let create k ?(slots = 256) ?hang_timeout_ns:(hto = hang_timeout_ns) ?(queues = 
       corrupt_next = 0;
       drop_next = 0;
       corrupt_batch_next = 0;
+      corruptions_carried = 0;
       u2k_mutator = None;
       notify_hook = None;
       batch_limit = default_batch_limit }
@@ -501,9 +505,8 @@ let push_u2k_raw t q m ~is_reply =
     (* Injected fault: garble the slot.  0xFF everywhere guarantees the
        kernel worker's unmarshal rejects it (arg count out of range). *)
     t.corrupt_next <- t.corrupt_next - 1;
-    ignore
-      (Ring.push_inplace q.u2k (fun slot -> Bytes.fill slot 0 (Bytes.length slot) '\xff')
-       : bool);
+    if Ring.push_inplace q.u2k (fun slot -> Bytes.fill slot 0 (Bytes.length slot) '\xff') then
+      t.corruptions_carried <- t.corruptions_carried + 1;
     true
   end
   else if push_flagged ?mutate:(u2k_mutate t q) q.u2k m ~is_reply then begin
@@ -542,6 +545,7 @@ let push_u2k_batch t q ~kind ms =
         if corrupt then Msg.Batch.corrupt_entry slot (n - 1);
         match u2k_mutate t q with Some f -> f slot | None -> ())
   then begin
+    if corrupt then t.corruptions_carried <- t.corruptions_carried + 1;
     Sud_obs.Metrics.add t.um.um_down n;
     Sud_obs.Metrics.add q.q_down n;
     if Sud_obs.Trace.on () then
@@ -819,6 +823,7 @@ let is_wedged t = t.wedged
 let inject_corrupt_replies t n = t.corrupt_next <- t.corrupt_next + n
 let inject_drop_replies t n = t.drop_next <- t.drop_next + n
 let inject_corrupt_batch_frames t n = t.corrupt_batch_next <- t.corrupt_batch_next + n
+let corruptions_carried t = t.corruptions_carried
 
 (* Live-fuzzer hooks (lib/attacks/proto_fuzz): mutate marshalled u2k
    slots in flight, or forge whole slots the driver never sent. *)

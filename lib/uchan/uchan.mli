@@ -250,6 +250,12 @@ val inject_corrupt_batch_frames : t -> int -> unit
     kernel worker counts it in [um_malformed_frames] and drops it, and
     the sibling frames in the batch still deliver. *)
 
+val corruptions_carried : t -> int
+(** Injected reply and batch-frame corruptions that a slot pushed onto
+    the u2k ring actually carried.  An injection still pending when a
+    dropped reply overtakes it, or when the driver dies, is not
+    counted. *)
+
 val set_u2k_mutator : t -> (queue:int -> bytes -> unit) option -> unit
 (** Live-fuzzer hook: run on every marshalled driver→kernel slot while
     it is still borrowed from the ring, exactly as a malicious driver

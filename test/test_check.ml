@@ -155,6 +155,23 @@ let test_shrink () =
         | Error e -> Alcotest.fail e
         | Ok r -> Alcotest.(check bool) "min repro replays bit-for-bit" true r.Check.rp_ok))
 
+(* Golden schedule pins: engine steps and trace hash of two fixed runs,
+   recorded with the binary-heap engine that the two-tier queue replaced.
+   Any change to which events fire, or in what order, fails here. *)
+let test_golden_pins () =
+  let sc = Option.get (Scenario.find "mini-soak") in
+  let oc = sc.Scenario.sc_run ~sched:(Sched.Random { seed = 0x5EEDL; p_preempt = 20 }) ~seed:0x50A4L in
+  Alcotest.(check (list string)) "mini soak clean" [] oc.Scenario.oc_failures;
+  Alcotest.(check int) "mini soak (random picker) steps" 912_598 oc.oc_steps;
+  Alcotest.(check int) "mini soak choice points" 164 oc.oc_points;
+  Alcotest.(check int64) "mini soak trace hash" 0x95cbf6c7e1a10413L oc.oc_trace_hash;
+  (* No scheduler installed: the FIFO path without a picker. *)
+  let r = Fault_inject.blk_soak ~seed:0xB10CL ~n_faults:4 ~duration_ms:100 () in
+  Alcotest.(check (list string)) "blk soak clean" [] r.Fault_inject.bsr_violations;
+  Alcotest.(check int) "blk soak (FIFO) choice points" 0 r.bsr_sched.ss_points;
+  Alcotest.(check int) "blk soak steps" 3_536_593 r.bsr_sched.ss_steps;
+  Alcotest.(check int64) "blk soak trace hash" 0x767978ce8852e1f6L r.bsr_sched.ss_trace_hash
+
 (* ddmin on a synthetic oracle: minimal subset, monotone test count. *)
 let test_ddmin_synthetic () =
   let need = [ 3; 11 ] in
@@ -178,4 +195,5 @@ let suite =
     Alcotest.test_case "record/replay through the mini soak" `Slow
       test_record_replay_mini_soak;
     Alcotest.test_case "hunt + shrink the depth-1 canary" `Quick test_shrink;
-    Alcotest.test_case "ddmin on a synthetic oracle" `Quick test_ddmin_synthetic ]
+    Alcotest.test_case "ddmin on a synthetic oracle" `Quick test_ddmin_synthetic;
+    Alcotest.test_case "golden schedule pins" `Quick test_golden_pins ]

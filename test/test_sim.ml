@@ -28,8 +28,12 @@ let test_engine_max_time () =
   ignore (Engine.schedule_after eng 1000 (fun () -> incr fired) : Engine.handle);
   Engine.run ~max_time:100 eng;
   Alcotest.(check int) "only events within the bound" 1 !fired;
+  (* Scheduled from outside [run], earlier than the queued instant. *)
+  let early_at = ref 0 in
+  ignore (Engine.schedule_after eng 20 (fun () -> early_at := !fired; incr fired) : Engine.handle);
   Engine.run eng;
-  Alcotest.(check int) "remaining events run later" 2 !fired
+  Alcotest.(check int) "remaining events run later" 3 !fired;
+  Alcotest.(check int) "earlier event fires first" 1 !early_at
 
 let test_engine_negative_delay () =
   let eng = Engine.create () in
@@ -203,6 +207,28 @@ let test_cpu_labels () =
   Alcotest.(check (list (pair string int))) "sorted labels" [ ("a", 150); ("b", 200) ]
     (Cpu.labels cpu)
 
+(* The label memo matches by physical equality; equal strings that are
+   not the same object, and more hot labels than memo slots, must still
+   land on one counter per label. *)
+let test_cpu_label_identity () =
+  let eng = Engine.create () in
+  let cpu = Cpu.create eng ~cores:2 Cost_model.default in
+  let names = List.init 12 (Printf.sprintf "proc:p%02d") in
+  let expect = Hashtbl.create 16 in
+  for round = 1 to 5 do
+    List.iteri
+      (fun i name ->
+         let label = if round mod 2 = 0 then name else String.concat "" [ name ] in
+         let ns = (10 * i) + round in
+         Cpu.account cpu ~label ns;
+         Hashtbl.replace expect name (ns + Option.value ~default:0 (Hashtbl.find_opt expect name)))
+      names
+  done;
+  let want = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) expect []) in
+  Alcotest.(check (list (pair string int))) "one counter per label" want (Cpu.labels cpu);
+  Alcotest.(check int) "busy is the label sum"
+    (List.fold_left (fun a (_, v) -> a + v) 0 want) (Cpu.busy_ns cpu)
+
 let test_rng_deterministic () =
   let a = Rng.create ~seed:42L and b = Rng.create ~seed:42L in
   for _ = 1 to 100 do
@@ -227,6 +253,186 @@ let test_convergence () =
   for _ = 1 to 10 do Stats.Moments.add m 100.0 done;
   Alcotest.(check bool) "constant samples converge" true
     (Stats.Moments.converged m ~confidence:0.99 ~accuracy:0.05)
+
+(* Engine equivalence: random programs against a reference model that
+   keeps every queued event in one list and always takes the minimum.  A
+   program is a set of scripts (what an event does when it fires, chosen
+   by its seq) plus phases: operations from outside [run], then a [run]
+   with optional limits, under FIFO or a seeded picker. *)
+
+type eop = Sched of int | Cancel of int
+
+type phase = {
+  outside : eop list;
+  picker : int option;  (* seed of the picker; None = FIFO *)
+  time_limit : int option;  (* max_time, relative to now *)
+  event_limit : int option;
+}
+
+type program = { scripts : eop list array; phases : phase list }
+
+let event_cap = 400
+
+(* Picks in [-1, ready] so out-of-range answers (clamped to 0) occur. *)
+let pick_of seed ~step ~ready = ((step * 7919) + seed) mod (ready + 2) - 1
+
+type trace = {
+  mutable fired : (int * int) list;  (* (time, seq), newest first *)
+  mutable picks : (int * int) list;  (* picker calls (step, ready) *)
+  mutable observed : (int * int * int * int) list;  (* (step, time, ready, pick) *)
+  mutable clocks : int list;  (* now after each run *)
+}
+
+let new_trace () = { fired = []; picks = []; observed = []; clocks = [] }
+
+(* Both sides share this driver.  [schedule delay seq body] and
+   [cancel seq] are the implementation's; [body] runs event [seq]'s script
+   when it fires. *)
+let drive prog ~schedule ~cancel ~run ~now =
+  let created = ref 0 in
+  let rec exec op =
+    match op with
+    | Sched d ->
+      if !created < event_cap then begin
+        incr created;
+        let seq = !created in
+        schedule d seq (fun () -> List.iter exec prog.scripts.(seq mod Array.length prog.scripts))
+      end
+    | Cancel k -> if !created > 0 then cancel ((k mod !created) + 1)
+  in
+  List.iter
+    (fun ph ->
+       List.iter exec ph.outside;
+       let max_time = Option.map (fun d -> now () + d) ph.time_limit in
+       run ph ~max_time)
+    prog.phases
+
+let run_engine prog =
+  let eng = Engine.create () in
+  let tr = new_trace () in
+  let handles = Hashtbl.create 64 in
+  let schedule d seq body =
+    Hashtbl.replace handles seq
+      (Engine.schedule_after eng d (fun () ->
+           tr.fired <- (Engine.now eng, seq) :: tr.fired;
+           body ()))
+  in
+  let cancel seq = Engine.cancel (Hashtbl.find handles seq) in
+  let run ph ~max_time =
+    (match ph.picker with
+     | None -> Engine.set_picker eng None; Engine.set_observer eng None
+     | Some seed ->
+       Engine.set_picker eng
+         (Some (fun ~step ~ready -> tr.picks <- (step, ready) :: tr.picks; pick_of seed ~step ~ready));
+       Engine.set_observer eng
+         (Some (fun ~step ~time ~ready ~pick -> tr.observed <- (step, time, ready, pick) :: tr.observed)));
+    Engine.run ?max_time ?max_events:ph.event_limit eng;
+    tr.clocks <- Engine.now eng :: tr.clocks
+  in
+  drive prog ~schedule ~cancel ~run ~now:(fun () -> Engine.now eng);
+  (tr, Engine.steps eng)
+
+type mev = { m_time : int; m_seq : int; mutable m_cancelled : bool; m_fn : unit -> unit }
+
+let run_model prog =
+  let now = ref 0 and steps = ref 0 in
+  let queue = ref [] in  (* sorted by (time, seq) *)
+  let all = Hashtbl.create 64 in
+  let tr = new_trace () in
+  let key e = (e.m_time, e.m_seq) in
+  let schedule d seq body =
+    let e = { m_time = !now + d; m_seq = seq; m_cancelled = false; m_fn = body } in
+    Hashtbl.replace all seq e;
+    queue := List.merge (fun a b -> compare (key a) (key b)) !queue [ e ]
+  in
+  let cancel seq = (Hashtbl.find all seq).m_cancelled <- true in
+  let fire e =
+    queue := List.filter (fun x -> x != e) !queue;
+    now := e.m_time;
+    incr steps;
+    tr.fired <- (e.m_time, e.m_seq) :: tr.fired;
+    e.m_fn ()
+  in
+  let run ph ~max_time =
+    let max_time = Option.value ~default:max_int max_time in
+    let max_events = Option.value ~default:max_int ph.event_limit in
+    let fired = ref 0 in
+    let stop = ref false in
+    while (not !stop) && !fired < max_events do
+      match ph.picker with
+      | None ->
+        (* FIFO: reaching a cancelled event reaps it and moves the clock. *)
+        (match !queue with
+         | e :: rest when e.m_time <= max_time ->
+           if e.m_cancelled then begin
+             queue := rest;
+             now := max !now e.m_time
+           end
+           else begin
+             incr fired;
+             fire e
+           end
+         | _ -> stop := true)
+      | Some seed ->
+        (* Picker: cancelled events at the head are reaped without moving
+           the clock; the ready set is every live event at the earliest
+           live instant. *)
+        let rec reap = function e :: rest when e.m_cancelled -> reap rest | q -> q in
+        queue := reap !queue;
+        (match List.filter (fun e -> not e.m_cancelled) !queue with
+         | e :: _ as live when e.m_time <= max_time ->
+           let ready = List.filter (fun x -> x.m_time = e.m_time) live in
+           let n = List.length ready in
+           let idx =
+             if n = 1 then 0
+             else begin
+               tr.picks <- (!steps, n) :: tr.picks;
+               let i = pick_of seed ~step:!steps ~ready:n in
+               let i = if i < 0 || i >= n then 0 else i in
+               tr.observed <- (!steps, e.m_time, n, i) :: tr.observed;
+               i
+             end
+           in
+           incr fired;
+           fire (List.nth ready idx)
+         | _ -> stop := true)
+    done;
+    tr.clocks <- !now :: tr.clocks
+  in
+  drive prog ~schedule ~cancel ~run ~now:(fun () -> !now);
+  (tr, !steps)
+
+let gen_program =
+  let open QCheck.Gen in
+  let delay = frequency [ (2, return 0); (3, int_range 1 6); (1, int_range 7 40) ] in
+  let eop = frequency [ (4, map (fun d -> Sched d) delay); (1, map (fun k -> Cancel k) nat) ] in
+  let phase =
+    map4
+      (fun outside picker time_limit event_limit -> { outside; picker; time_limit; event_limit })
+      (* Occasional bursts outgrow the queues' initial capacity. *)
+      (list_size (frequency [ (6, int_range 0 6); (1, int_range 100 250) ]) eop)
+      (opt (int_range 0 1000))
+      (opt (int_range 0 30))
+      (opt (int_range 1 25))
+  in
+  map2
+    (fun scripts (first, rest) ->
+       { scripts = Array.of_list scripts; phases = { first with outside = Sched 0 :: first.outside } :: rest })
+    (list_size (int_range 1 8) (list_size (int_range 0 3) eop))
+    (pair phase (list_size (int_range 0 6) phase))
+
+let show_program p =
+  let op = function Sched d -> Printf.sprintf "S%d" d | Cancel k -> Printf.sprintf "C%d" k in
+  let ops l = "[" ^ String.concat " " (List.map op l) ^ "]" in
+  let opt = function None -> "-" | Some v -> string_of_int v in
+  Printf.sprintf "scripts=%s phases=%s"
+    (String.concat ";" (Array.to_list (Array.map ops p.scripts)))
+    (String.concat ";"
+       (List.map
+          (fun ph ->
+             Printf.sprintf "%s pick=%s t<=%s n<=%s" (ops ph.outside) (opt ph.picker)
+               (opt ph.time_limit) (opt ph.event_limit))
+          p.phases))
 
 (* property tests *)
 
@@ -257,7 +463,19 @@ let qcheck_cases =
            delays;
          Engine.run eng;
          let result = List.rev !fired in
-         result = List.stable_sort compare delays) ]
+         result = List.stable_sort compare delays);
+    QCheck.Test.make ~name:"engine matches the sorted-list reference model" ~count:500
+      (QCheck.make ~print:show_program gen_program)
+      (fun prog ->
+         let a, sa = run_engine prog and b, sb = run_model prog in
+         let pairs l = String.concat " " (List.rev_map (fun (x, y) -> Printf.sprintf "%d/%d" x y) l) in
+         if a.fired <> b.fired then
+           QCheck.Test.fail_reportf "fired (time/seq)\nengine %s\nmodel  %s" (pairs a.fired) (pairs b.fired)
+         else if a.picks <> b.picks then
+           QCheck.Test.fail_reportf "picker calls (step/ready)\nengine %s\nmodel  %s" (pairs a.picks)
+             (pairs b.picks)
+         else
+           a.observed = b.observed && a.clocks = b.clocks && sa = sb) ]
 
 let suite =
   [ Alcotest.test_case "engine: ordering" `Quick test_engine_ordering;
@@ -275,6 +493,7 @@ let suite =
     Alcotest.test_case "cpu: one core serializes" `Quick test_cpu_serializes;
     Alcotest.test_case "cpu: two cores parallel" `Quick test_cpu_parallel_cores;
     Alcotest.test_case "cpu: per-label accounting" `Quick test_cpu_labels;
+    Alcotest.test_case "cpu: labels by identity or content" `Quick test_cpu_label_identity;
     Alcotest.test_case "rng: deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "stats: moments" `Quick test_stats_moments;
     Alcotest.test_case "stats: histogram" `Quick test_stats_histogram;

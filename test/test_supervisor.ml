@@ -310,6 +310,36 @@ let backlog_replay_order_property =
        done;
        !ok)
 
+(* The mini-soak fault plan, FIFO schedule, of one root seed. *)
+let mini_soak ~root =
+  Fault_inject.soak ~sched:Sched.Fifo
+    ~seed:(Rng.derive ~root:(Int64.of_int root) "mini-soak")
+    ~n_faults:12 ~duration_ms:400 ()
+
+let applied r cls = Option.value ~default:0 (List.assoc_opt cls r.Fault_inject.sr_by_class)
+
+(* Root seed 106 injects a corrupt_reply that a later drop_reply
+   overtakes: the driver dies before any reply carries the corruption,
+   so no slot can be counted malformed and the soak must not flag it. *)
+let test_overtaken_corruption_not_flagged () =
+  let r = mini_soak ~root:106 in
+  Alcotest.(check int) "corrupt_reply injected" 1 (applied r "corrupt_reply");
+  Alcotest.(check int) "no slot carried it" 0 r.Fault_inject.sr_corrupt_carried;
+  Alcotest.(check int) "nothing counted malformed" 0 r.sr_malformed;
+  Alcotest.(check (list string)) "no violation" [] r.sr_violations
+
+(* A corruption that a slot did carry must still be counted malformed:
+   the same report with the count zeroed fails the check. *)
+let test_carried_corruption_must_count () =
+  let r = mini_soak ~root:101 in
+  Alcotest.(check bool) "corruptions carried" true (r.Fault_inject.sr_corrupt_carried > 0);
+  Alcotest.(check int) "each counted malformed" r.sr_corrupt_carried r.sr_malformed;
+  Alcotest.(check (list string)) "clean as run" [] r.sr_violations;
+  Alcotest.(check (option string)) "counted: no violation" None
+    (Fault_inject.uncounted_corruption r);
+  Alcotest.(check bool) "uncounted: violation" true
+    (Fault_inject.uncounted_corruption { r with sr_malformed = 0 } <> None)
+
 (* Satellite property: N seeded fault cycles under traffic leave no
    containment residue.  [Fault_inject.soak] asserts at every driver death
    that the kernel secret page is untouched, the dead grant is revoked, the
@@ -340,6 +370,10 @@ let suite =
       test_mid_batch_crash_tail_replayed;
     Alcotest.test_case "wedged main loop caught by heartbeat" `Quick test_hang_heartbeat;
     Alcotest.test_case "crash loop exhausts budget → quarantine" `Quick
-      test_crash_loop_quarantine ]
+      test_crash_loop_quarantine;
+    Alcotest.test_case "soak: overtaken corruption not flagged" `Quick
+      test_overtaken_corruption_not_flagged;
+    Alcotest.test_case "soak: carried corruption must count malformed" `Quick
+      test_carried_corruption_must_count ]
   @ List.map QCheck_alcotest.to_alcotest
       [ plan_determinism_test; backlog_replay_order_property; fault_cycle_property ]
