@@ -155,6 +155,25 @@ let test_corrupt_completion () =
       check_media_page w.nvme ~lba:32 data "after corrupt completion";
       Supervisor.stop sv)
 
+(* Cold recovery latency per storage class, pinned exactly: the three
+   device-level classes escalate through the request timeout and all
+   end in the same restart path. *)
+let test_recovery_pins () =
+  List.iter
+    (fun (fault, detect, outage) ->
+       let s = Fault_inject.measure_blk_recovery fault in
+       Alcotest.(check int) (s.Fault_inject.rs_fault ^ " detect ns") detect
+         s.Fault_inject.rs_detect_ns;
+       Alcotest.(check int) (s.Fault_inject.rs_fault ^ " outage ns") outage
+         s.Fault_inject.rs_outage_ns)
+    Fault_inject.
+      [ (Bcrash, 947_232, 614_704);
+        (Bhang, 11_000_470, 610_744);
+        (Corrupt_completion, 1_000_000, 610_744);
+        (Drop_completion, 1_000_000, 610_744);
+        (Drop_flush, 1_000_000, 610_744);
+        (Crash_mid_barrier, 947_232, 614_704) ]
+
 let suite =
   [ Alcotest.test_case "sud-blk: hosted nvme serves write/fsync/read" `Quick test_smoke;
     Alcotest.test_case "sud-blk: FUA is write-through" `Quick test_fua;
@@ -162,4 +181,5 @@ let suite =
     Alcotest.test_case "sud-blk: dropped flush cannot fake durability" `Quick
       test_dropped_flush;
     Alcotest.test_case "sud-blk: corrupt completion cannot fake durability" `Quick
-      test_corrupt_completion ]
+      test_corrupt_completion;
+    Alcotest.test_case "sud-blk: cold recovery latency pins" `Quick test_recovery_pins ]

@@ -208,7 +208,12 @@ let test_fuzz_smoke () =
        if n = 0 then Alcotest.fail (Printf.sprintf "class %s never detected" cls))
     r.Proto_fuzz.fz_detected;
   Alcotest.(check bool) "supervisor recovered every time" true
-    (r.Proto_fuzz.fz_state = Supervisor.Running)
+    (r.Proto_fuzz.fz_state = Supervisor.Running);
+  (* Schedule pin: any change to which events fire, or in what order,
+     moves these. *)
+  Alcotest.(check int) "campaign steps" 8_309_020 r.Proto_fuzz.fz_sched.Fault_inject.ss_steps;
+  Alcotest.(check int64) "campaign trace hash" 0xd00740e94c741561L
+    r.Proto_fuzz.fz_sched.Fault_inject.ss_trace_hash
 
 let test_proto_quarantine () =
   let r = Proto_fuzz.quarantine_campaign ~max_restarts:3 () in

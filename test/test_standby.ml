@@ -359,6 +359,31 @@ let prop_upgrades_compose =
        | [] -> true
        | fs -> QCheck.Test.fail_reportf "oracle violated:@.%s" (String.concat "\n" fs))
 
+(* Warm failover latency, pinned exactly for the two classes with a
+   direct detection signal. *)
+let test_warm_recovery_pins () =
+  List.iter
+    (fun (fault, detect, outage) ->
+       let s = Fault_inject.measure_warm_blk_recovery fault in
+       Alcotest.(check int) (s.Fault_inject.rs_fault ^ " detect ns") detect
+         s.Fault_inject.rs_detect_ns;
+       Alcotest.(check int) (s.Fault_inject.rs_fault ^ " warm outage ns") outage
+         s.Fault_inject.rs_outage_ns)
+    Fault_inject.[ (Bcrash, 947_232, 106_784); (Bhang, 11_000_470, 110_744) ]
+
+(* The interleaving soak, pinned: counts and the schedule fingerprint. *)
+let test_upgrade_soak_pin () =
+  let r = Fault_inject.upgrade_soak ~seed:0x0F6L ~interleavings:4 () in
+  Alcotest.(check (list string)) "no violations" [] r.Fault_inject.usr_violations;
+  Alcotest.(check int) "steps" 4_983_451 r.usr_sched.ss_steps;
+  Alcotest.(check int64) "trace hash" 0x94f666bcd0c0fd2aL r.usr_sched.ss_trace_hash;
+  Alcotest.(check int) "upgrades" 2 r.usr_upgrades;
+  Alcotest.(check int) "warm swaps" 3 r.usr_warm_swaps;
+  Alcotest.(check int) "cold restarts" 0 r.usr_cold_restarts;
+  Alcotest.(check int) "poisoned" 1 r.usr_poisoned;
+  Alcotest.(check int) "writes" 175 r.usr_writes;
+  Alcotest.(check int) "verifies" 7 r.usr_verifies
+
 let suite =
   [ Alcotest.test_case "warm failover: crash swaps to the parked standby" `Quick
       test_warm_failover;
@@ -368,4 +393,6 @@ let suite =
       test_double_failover;
     Alcotest.test_case "live upgrade: zero loss, not a detection, sysfs transitions"
       `Quick test_upgrade_zero_loss;
+    Alcotest.test_case "warm recovery latency pins" `Quick test_warm_recovery_pins;
+    Alcotest.test_case "upgrade soak pin" `Quick test_upgrade_soak_pin;
     QCheck_alcotest.to_alcotest prop_upgrades_compose ]
