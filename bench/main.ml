@@ -555,24 +555,13 @@ let blkperf_point ~depth ~read_pct =
     (blkperf_write_pages + ((depth + 1) * blkperf_read_region)) * Blkdev.page_sectors
   in
   let w = Fault_inject.make_blk_world ~capacity () in
-  (* The measurement is over well inside 2 s of simulated time; without
-     the bound the engine would keep servicing watchdog ticks for the
-     default two sim-minutes per point. *)
-  Fault_inject.in_blk_world ~max_ms:2_000 w (fun () ->
+  (* The measurement is over well inside 2 s of simulated time; a longer
+     bound would only add idle watchdog ticks per point. *)
+  Fault_inject.in_world ~scenario:"blkperf" ~max_ms:2_000 w.Fault_inject.bw_k (fun () ->
       let k = w.Fault_inject.bw_k in
       let eng = w.Fault_inject.bw_eng in
-      let sv =
-        match
-          Supervisor.start_blk k w.Fault_inject.bw_sp ~bdf:w.Fault_inject.bw_bdf
-            Fault_inject.honest_blk_factory
-        with
-        | Ok sv -> sv
-        | Error e -> failwith ("blkperf: supervised start failed: " ^ e)
-      in
-      let bd =
-        match Supervisor.blkdev sv with
-        | Some bd -> bd
-        | None -> failwith "blkperf: no blkdev after start"
+      let _, bd, _ =
+        Fault_inject.supervise_blk ~scenario:"blkperf" ~policy:Supervisor.default_policy w
       in
       let reads = ref 0 and writes = ref 0 and errors = ref 0 in
       let measuring = ref false and stop = ref false in
@@ -639,13 +628,9 @@ let blkperf_point ~depth ~read_pct =
       let ops = !reads + !writes in
       let window_ns = Engine.now eng - t0 in
       stop := true;
-      let rec join budget =
-        if budget > 0 && !running > 0 then begin
-          ignore (Fiber.sleep eng 1_000_000 : Fiber.wake);
-          join (budget - 1)
-        end
-      in
-      join 1_000;
+      ignore
+        (Fault_inject.poll eng ~every_ns:1_000_000 ~budget:1_000 (fun () -> !running <= 0)
+         : bool);
       { bpp_depth = depth;
         bpp_read_pct = read_pct;
         bpp_kiops = float_of_int ops /. (float_of_int window_ns /. 1e9) /. 1e3;

@@ -2,16 +2,31 @@
 
     The security evaluation ({!Scenarios}) shows each attack contained
     once; this module shows the {!Supervisor} surviving {e hundreds} of
-    faults in a row under live traffic, with the containment invariants
+    faults in a row under live load, with the containment invariants
     checked at every driver death.  All randomness comes from an explicit
-    seed, so a failing soak replays exactly. *)
+    seed, so a failing soak replays exactly.
+
+    One harness serves both supervised device classes: one fault type
+    and plan walker, one world runner, one supervised start per world,
+    one durability oracle and one recovery probe.  What stays per class
+    is what really differs: the world records, UDP traffic vs the
+    crash-consistency workload, and each soak's report. *)
+
+val poll : Engine.t -> every_ns:int -> budget:int -> (unit -> bool) -> bool
+(** [poll eng ~every_ns ~budget pred] sleeps [every_ns] at a time until
+    [pred ()] holds or [budget] sleeps are spent, and returns the last
+    [pred ()].  [pred] is checked before every sleep, so a predicate
+    that already holds costs no simulated time.  Must run in a fiber. *)
 
 (** One injectable fault class, mapped onto the supervisor's detection
-    signals:
+    signals.  Class-independent:
 
     - [Crash] — [kill -9] the driver process (exit-hook kick);
     - [Hang] — wedge the driver's main upcall loop ({!Uchan.wedge}); the
-      heartbeat ping times out;
+      heartbeat ping times out.
+
+    Net ({!all_faults}):
+
     - [Corrupt_reply] — the next upcall reply slot is overwritten with
       garbage; the kernel worker counts it malformed;
     - [Drop_reply] — the next upcall reply evaporates; the sender hits
@@ -21,17 +36,48 @@
     - [Corrupt_batch] — one frame inside the driver's next multi-frame
       downcall batch is garbled in place; the kernel worker drops exactly
       that frame ([um_malformed_frames] ticks) and delivers its siblings.  The
-      only fault class that must {e not} escalate to a restart. *)
-type fault = Crash | Hang | Corrupt_reply | Drop_reply | Dma_violation | Corrupt_batch
+      only fault class that must {e not} escalate to a restart.
+
+    Storage ({!all_blk_faults}): the device-level classes arm one-shot
+    hooks on the emulated NVMe.  None of them produce a direct detection
+    signal, so all escalate through the proxy's per-request timeout into
+    a full recovery.
+
+    - [Corrupt_completion] — the device flips bits in the next CQE's
+      command id;
+    - [Drop_completion] — the next completion evaporates;
+    - [Drop_flush] — the next flush neither persists nor acks;
+    - [Crash_mid_barrier] — stalk an in-flight flush and kill the driver
+      at that instant.
+
+    [Dma_violation] and the three NVMe classes need a device hook
+    ([?dma_violate] / [?nvme] of {!inject}); without it they are never
+    applied. *)
+type fault =
+  | Crash
+  | Hang
+  | Corrupt_reply
+  | Drop_reply
+  | Dma_violation
+  | Corrupt_batch
+  | Corrupt_completion
+  | Drop_completion
+  | Drop_flush
+  | Crash_mid_barrier
 
 val all_faults : fault list
+(** The six net classes, in plan-draw order. *)
+
+val all_blk_faults : fault list
+(** The six storage classes, in plan-draw order. *)
+
 val fault_name : fault -> string
 
 val lethal : fault -> bool
 (** Whether this class ends in a driver death and restart.  [false] only
     for [Corrupt_batch], which is contained frame-by-frame — use it to
     filter classes before {!measure_recovery}, which needs a recovery to
-    observe. *)
+    observe.  Every storage class is lethal. *)
 
 (** {1 Plan DSL} *)
 
@@ -41,8 +87,8 @@ type plan = injection list
 val random_plan :
   seed:int64 -> duration_ns:int -> n:int -> ?faults:fault list -> unit -> plan
 (** [n] injections at uniform times in [\[0, duration_ns)], classes drawn
-    uniformly from [faults] (default all), sorted by time.  Same seed,
-    same plan. *)
+    uniformly from [faults] (default {!all_faults}), sorted by time.
+    Same seed, same plan. *)
 
 type injector_stats = {
   mutable inj_applied : int;
@@ -50,28 +96,38 @@ type injector_stats = {
   inj_by_class : (string, int) Hashtbl.t;
 }
 
-val inject : sv:Supervisor.t -> ?dma_violate:(unit -> unit) -> fault -> bool
+val inject :
+  eng:Engine.t ->
+  sv:Supervisor.t ->
+  ?dma_violate:(unit -> unit) ->
+  ?nvme:Nvme_dev.t ->
+  fault ->
+  bool
 (** Apply one fault to the supervisor's current driver generation right
     now.  Returns [false] (not applied) when the supervisor is not
-    [Running] or the fault has no live target. *)
+    [Running], the fault has no live target, or the class needs a
+    device hook that was not given.  Must run in a fiber
+    ([Crash_mid_barrier] sleeps while stalking a flush). *)
 
 val run_plan :
   Kernel.t ->
   sv:Supervisor.t ->
   ?dma_violate:(unit -> unit) ->
-  ?stats:injector_stats ->
+  ?nvme:Nvme_dev.t ->
   plan ->
   injector_stats
 (** Spawn an injector fiber that walks the plan, sleeping to each
     instant (relative to now) and waiting for the supervisor to return
     to [Running] so every fault lands on a live driver.  Returns the
-    (live-updating) stats record immediately. *)
+    (live-updating) stats record immediately; a fault that {!inject}
+    does not apply counts as skipped. *)
 
-(** {1 Soak harness}
+(** {1 Worlds, the runner and supervised starts}
 
-    The world, traffic generator and containment-invariant checker the
-    soak runs in, exported so other adversarial campaigns
-    ({!Proto_fuzz}) run under identical conditions. *)
+    The worlds, traffic generator and containment-invariant checker the
+    soaks run in, exported so other adversarial campaigns
+    ({!Proto_fuzz}), [sudctl] and the benches run under identical
+    conditions. *)
 
 type world = {
   eng : Engine.t;
@@ -87,9 +143,25 @@ val make_world : unit -> world
 (** A booted kernel, one emulated E1000 on a snooped medium, safe-PCI
     initialised. *)
 
-val in_world : ?max_ms:int -> world -> (unit -> 'a) -> 'a
-(** Run [main] in a kernel fiber and drive the engine until it returns
-    (at most [max_ms] simulated milliseconds, default 30 s). *)
+type blk_world = {
+  bw_eng : Engine.t;
+  bw_k : Kernel.t;
+  bw_sp : Safe_pci.t;
+  bw_nvme : Nvme_dev.t;
+  bw_bdf : Bus.bdf;
+}
+
+val make_blk_world : ?capacity:int -> unit -> blk_world
+(** A booted kernel with one emulated NVMe ([capacity] in 512-byte
+    sectors — the media is sparse, so large devices are free),
+    safe-PCI initialised. *)
+
+val in_world : scenario:string -> max_ms:int -> Kernel.t -> (unit -> 'a) -> 'a
+(** The world runner: run [main] in a kernel fiber of the world's kernel
+    and drive the engine to [max_ms] simulated milliseconds — past
+    [main]'s return, so the watchdog keeps ticking as in a longer run.
+    Fails with ["<scenario> did not complete"] if [main] has not
+    returned by then. *)
 
 val secret : string
 (** The canary written to a kernel page; containment means no driver
@@ -111,12 +183,36 @@ val install_invariants : world -> Supervisor.t -> secret_addr:int -> invariant_c
 (** Hook the supervisor's event stream: at every driver death assert the
     kernel secret is intact, the dead generation's grant is revoked, its
     IOMMU domain detached, and no previously-mapped iova still answers
-    from the IOTLB. *)
+    from the IOTLB.  {!supervise} and {!supervise_blk} install it. *)
 
 val invariant_violations : invariant_ctx -> string list
 (** Failures recorded so far, oldest first; must be [[]]. *)
 
 val invariant_deaths : invariant_ctx -> int
+
+val honest_factory : attempt:int -> Driver_api.net_driver
+(** The honest E1000 driver, every generation. *)
+
+val honest_blk_factory : attempt:int -> Driver_api.blk_driver
+(** The honest NVMe driver, every generation. *)
+
+val supervise :
+  scenario:string ->
+  policy:Supervisor.policy ->
+  world ->
+  Supervisor.t * Netdev.t * invariant_ctx
+(** The net world's supervised start: plant {!secret} in a kernel page,
+    start {!honest_factory} under [policy], install the containment
+    invariants and bring the netdev up.  Must run in a fiber; fails
+    naming [scenario]. *)
+
+val supervise_blk :
+  scenario:string ->
+  policy:Supervisor.policy ->
+  blk_world ->
+  Supervisor.t * Blkdev.t * invariant_ctx
+(** The block world's supervised start: as {!supervise}, with
+    {!honest_blk_factory}, returning the registered block device. *)
 
 type traffic = {
   mutable tr_offered : int;
@@ -132,9 +228,6 @@ val start_traffic : ?burst:int -> world -> Netdev.t -> gap_ns:int -> traffic
 val dma_violate : world -> unit -> unit
 (** Device-level DMA to an address the driver never mapped — the IOMMU
     must fault and attribute it to the device's BDF. *)
-
-val honest_factory : attempt:int -> Driver_api.net_driver
-(** The honest E1000 driver, every generation. *)
 
 (** {1 Seed plumbing and schedule capture}
 
@@ -162,19 +255,20 @@ type sched_summary = {
   ss_dump : string option;  (** schedule file written on violation *)
 }
 
-val pending_sched : sched_summary
-(** Placeholder value used while a report is being assembled mid-run. *)
-
-val finish_sched :
+val run_recorded :
   scenario:string ->
   seed:int64 ->
-  sched:Sched.spec option ->
-  eng:Engine.t ->
-  Sched.recorder option ->
-  violations:string list ->
-  sched_summary
-(** Fingerprint a finished run and, when [violations] is non-empty, dump
-    the replayable schedule to [traces/].  Shared with {!Proto_fuzz}. *)
+  ?sched:Sched.spec ->
+  max_ms:int ->
+  Kernel.t ->
+  (unit -> string list * (sched_summary -> 'a)) ->
+  'a
+(** {!in_world} under [sched] (installed before [body] starts), with the
+    run's fingerprint.  [body] returns its violations and a report
+    builder; once the engine has run to [max_ms] the fingerprint is
+    taken, the schedule dumped to [traces/] if the violations are
+    non-empty, and the builder applied to it.  Shared with
+    {!Proto_fuzz}. *)
 
 (** {1 Soak} *)
 
@@ -243,7 +337,7 @@ type recovery_sample = {
   rs_outage_ns : int;  (** detection → traffic restored *)
 }
 
-val measure_recovery : ?seed:int64 -> fault -> recovery_sample
+val measure_recovery : fault -> recovery_sample
 (** Inject exactly one fault of the class into a freshly supervised
     driver under traffic and report the observed latencies. *)
 
@@ -272,66 +366,6 @@ val crash_loop : ?max_restarts:int -> unit -> quarantine_report
     every successful [fsync] — the one instant the durability contract
     pins everything down.  Every supervised restart forces such a
     check, so the invariant is asserted at every recovery. *)
-
-(** Storage fault classes.  The device-level ones (corrupt/drop
-    completion, drop flush) arm one-shot hooks on the emulated NVMe;
-    none of them produce a direct detection signal, so all escalate
-    through the proxy's per-request timeout into a full recovery —
-    every class is lethal.  [Crash_mid_barrier] stalks an in-flight
-    flush and kills the driver at that instant. *)
-type blk_fault =
-  | Bcrash
-  | Bhang
-  | Corrupt_completion
-  | Drop_completion
-  | Drop_flush
-  | Crash_mid_barrier
-
-val all_blk_faults : blk_fault list
-val blk_fault_name : blk_fault -> string
-
-type blk_injection = { bat_ns : int; bfault : blk_fault }
-type blk_plan = blk_injection list
-
-val random_blk_plan :
-  seed:int64 -> duration_ns:int -> n:int -> ?faults:blk_fault list -> unit -> blk_plan
-
-type blk_world = {
-  bw_eng : Engine.t;
-  bw_k : Kernel.t;
-  bw_sp : Safe_pci.t;
-  bw_nvme : Nvme_dev.t;
-  bw_bdf : Bus.bdf;
-}
-
-val make_blk_world : ?capacity:int -> unit -> blk_world
-(** A booted kernel with one emulated NVMe ([capacity] in 512-byte
-    sectors — the media is sparse, so large devices are free),
-    safe-PCI initialised. *)
-
-val in_blk_world : ?max_ms:int -> blk_world -> (unit -> 'a) -> 'a
-
-val honest_blk_factory : attempt:int -> Driver_api.blk_driver
-(** The honest NVMe driver, every generation. *)
-
-val blk_inject :
-  eng:Engine.t -> sv:Supervisor.t -> nvme:Nvme_dev.t -> blk_fault -> bool
-(** Apply one storage fault now.  Must run in a fiber
-    ([Crash_mid_barrier] sleeps while stalking a flush). *)
-
-val run_blk_plan :
-  Kernel.t ->
-  sv:Supervisor.t ->
-  nvme:Nvme_dev.t ->
-  ?stats:injector_stats ->
-  blk_plan ->
-  injector_stats
-
-val install_invariants_for :
-  k:Kernel.t -> bdf:Bus.bdf -> Supervisor.t -> secret_addr:int -> invariant_ctx
-(** The class-independent form of {!install_invariants}: the same
-    containment contract, whether the supervised device is a NIC or an
-    NVMe. *)
 
 type blk_soak_report = {
   bsr_seed : int64;
@@ -362,46 +396,38 @@ val blk_soak :
   ?seed:int64 ->
   ?n_faults:int ->
   ?duration_ms:int ->
-  ?plan:blk_plan ->
+  ?plan:plan ->
   unit ->
   blk_soak_report
 (** Run a supervised honest NVMe driver under a continuous synchronous
     write/read/fsync workload while a seeded plan (default 200 storage
-    faults over 6 s of simulated time) fires every class at it.  At
+    faults over 6 s of simulated time, drawn from {!all_blk_faults})
+    fires every class at it.  At
     every driver death the containment invariants hold; after every
     recovery and every periodic fsync, media equals the last
     acknowledged write for every page; at the end a final fsync must
     leave zero retained and zero in-flight requests. *)
 
-val measure_blk_recovery : ?seed:int64 -> blk_fault -> recovery_sample
+val measure_blk_recovery : fault -> recovery_sample
 (** Inject exactly one storage fault into a freshly supervised NVMe
     under workload and report the observed recovery latencies
     ([rs_fault] is prefixed ["blk_"]). *)
 
 (** {1 Warm standby: upgrades, poison, and the interleaving soak}
 
-    The classes here target the generation-swap machinery itself rather
-    than the datapath, so they are deliberately {e not} part of
-    {!all_blk_faults}: neither produces the fault-detection /
-    [Driver_restarted] shape {!measure_blk_recovery} waits on. *)
-
-type upgrade_fault =
-  | Upgrade_during_fault  (** a lethal fault racing the upgrade drain *)
-  | Standby_poisoned
-      (** the parked generation is killed while warm; it must be
-          discarded and rebuilt, never swapped in *)
-
-val all_upgrade_faults : upgrade_fault list
-val upgrade_fault_name : upgrade_fault -> string
+    The upgrade soak's two own interleavings target the generation-swap
+    machinery itself rather than the datapath, so they are not fault
+    classes: a lethal fault racing the upgrade drain, and a poisoned
+    standby (the parked generation killed while warm; it must be
+    discarded and rebuilt, never swapped in).  Neither produces the
+    fault-detection / [Driver_restarted] shape {!measure_blk_recovery}
+    waits on. *)
 
 val inject_standby_poison : sv:Supervisor.t -> bool
 (** Kill the parked standby generation's process, if one is warm.
     Returns whether the poison was applied.  Detection happens at the
     supervisor's next probe (watchdog tick, [ensure], or the take at
     swap time) — never by installing the corpse. *)
-
-val wait_standby_ready : eng:Engine.t -> Supervisor.t -> budget_ms:int -> bool
-val wait_running : eng:Engine.t -> Supervisor.t -> budget_ms:int -> bool
 
 type upgrade_soak_report = {
   usr_seed : int64;
@@ -429,7 +455,7 @@ val upgrade_soak :
     supervisor must return to Running and media must equal the last
     acknowledged write for every page. *)
 
-val measure_warm_blk_recovery : ?seed:int64 -> blk_fault -> recovery_sample
+val measure_warm_blk_recovery : fault -> recovery_sample
 (** {!measure_blk_recovery} with the warm standby enabled: waits for
     the parked generation to be Ready before injecting, then requires
     the recovery to have taken the warm-swap path (fails if it fell

@@ -138,29 +138,16 @@ let detected_count acc ~overflows = function
 let campaign ?sched ?seed ?(n_mutations = 600) ?(storm_kicks = 6_000) () =
   let seed = match seed with Some s -> s | None -> Fault_inject.dseed "fuzz" in
   let w = Fault_inject.make_world () in
-  let rec_ = Option.map (fun s -> Sched.install w.Fault_inject.eng s) sched in
-  let report =
-    Fault_inject.in_world ~max_ms:300_000 w (fun () ->
+  Fault_inject.run_recorded ~scenario:"fuzz" ~seed ?sched ~max_ms:300_000 w.Fault_inject.k
+    (fun () ->
       let open Fault_inject in
-      let secret_addr = Phys_mem.alloc_pages w.k.Kernel.mem ~pages:1 in
-      Phys_mem.write w.k.Kernel.mem ~addr:secret_addr (Bytes.of_string secret);
-      let sv =
-        match
-          Supervisor.start w.k w.sp ~policy:(soak_policy ~max_restarts:max_int) ~bdf:w.bdf
-            honest_factory
-        with
-        | Ok sv -> sv
-        | Error e -> failwith ("proto_fuzz: supervised start failed: " ^ e)
+      let sv, dev, ctx =
+        supervise ~scenario:"fuzz" ~policy:(soak_policy ~max_restarts:max_int) w
       in
-      let ctx = install_invariants w sv ~secret_addr in
       let acc = { acc_conf = Hashtbl.create 8; acc_malformed = 0 } in
       Supervisor.on_event sv (function
           | Supervisor.Fault_detected _ -> snapshot_chan acc sv
           | _ -> ());
-      let dev = Supervisor.netdev sv in
-      (match Netstack.ifconfig_up w.k.Kernel.net dev with
-       | Ok () -> ()
-       | Error e -> failwith ("proto_fuzz: ifconfig up: " ^ e));
       (* Bursts so the driver's tx_free downcalls coalesce into batch
          slots: the mutators must see both slot shapes. *)
       let tr = start_traffic ~burst:4 w dev ~gap_ns:400_000 in
@@ -169,11 +156,11 @@ let campaign ?sched ?seed ?(n_mutations = 600) ?(storm_kicks = 6_000) () =
       let skipped = ref 0 in
       let extra = ref [] in
       let sleep ns = ignore (Fiber.sleep w.eng ns : Fiber.wake) in
-      let rec wait_running budget =
-        if budget > 0 && Supervisor.state sv <> Supervisor.Running then begin
-          sleep 1_000_000;
-          wait_running (budget - 1)
-        end
+      let wait_running () =
+        ignore
+          (poll w.eng ~every_ns:1_000_000 ~budget:2_000 (fun () ->
+               Supervisor.state sv = Supervisor.Running)
+           : bool)
       in
       (* Install a one-shot mutator on the current generation's channel
          and wait (bounded) for live traffic to trigger it. *)
@@ -186,13 +173,9 @@ let campaign ?sched ?seed ?(n_mutations = 600) ?(storm_kicks = 6_000) () =
                   mutate slot;
                   fired := true
                 end));
-        let rec wait budget =
-          if (not !fired) && budget > 0 && not (Uchan.is_closed chan) then begin
-            sleep 500_000;
-            wait (budget - 1)
-          end
-        in
-        wait 100;
+        ignore
+          (poll w.eng ~every_ns:500_000 ~budget:100 (fun () -> !fired || Uchan.is_closed chan)
+           : bool);
         if not (Uchan.is_closed chan) then Uchan.set_u2k_mutator chan None;
         !fired
       in
@@ -228,7 +211,7 @@ let campaign ?sched ?seed ?(n_mutations = 600) ?(storm_kicks = 6_000) () =
         (* Round-robin through the classes (coverage guaranteed), with a
            seeded draw inside Seq_skew for direction. *)
         let m = class_arr.(i mod n_classes) in
-        wait_running 2_000;
+        wait_running ();
         if Supervisor.state sv = Supervisor.Running && apply m then begin
           count applied (mutation_name m);
           (* Give the escalation a couple of watchdog ticks to land
@@ -244,7 +227,7 @@ let campaign ?sched ?seed ?(n_mutations = 600) ?(storm_kicks = 6_000) () =
       sleep 20_000_000;
       tr.tr_stop <- true;
       sleep 10_000_000;
-      wait_running 2_000;
+      wait_running ();
       snapshot_chan acc sv;
       let overflows = Quota.notify_overflows (Supervisor.quota sv) in
       let violate fmt = Printf.ksprintf (fun s -> extra := s :: !extra) fmt in
@@ -258,24 +241,23 @@ let campaign ?sched ?seed ?(n_mutations = 600) ?(storm_kicks = 6_000) () =
       if Supervisor.state sv <> Supervisor.Running then
         violate "campaign ended with the supervisor not Running";
       let st = Supervisor.stats sv in
-      { fz_seed = seed;
-        fz_planned = n_mutations;
-        fz_applied = Hashtbl.fold (fun _ n a -> n + a) applied 0;
-        fz_skipped = !skipped;
-        fz_by_class = List.map (fun m -> (mutation_name m, get applied (mutation_name m))) all_mutations;
-        fz_detected =
-          List.map (fun m -> (mutation_name m, detected_count acc ~overflows m)) all_mutations;
-        fz_detections = st.Supervisor.st_detections;
-        fz_restarts = st.Supervisor.st_restarts;
-        fz_deaths = invariant_deaths ctx;
-        fz_state = Supervisor.state sv;
-        fz_violations = invariant_violations ctx @ List.rev !extra;
-        fz_sched = Fault_inject.pending_sched })
-  in
-  { report with
-    fz_sched =
-      Fault_inject.finish_sched ~scenario:"fuzz" ~seed ~sched ~eng:w.Fault_inject.eng rec_
-        ~violations:report.fz_violations }
+      let violations = invariant_violations ctx @ List.rev !extra in
+      ( violations,
+        fun fz_sched ->
+          { fz_seed = seed;
+            fz_planned = n_mutations;
+            fz_applied = Hashtbl.fold (fun _ n a -> n + a) applied 0;
+            fz_skipped = !skipped;
+            fz_by_class =
+              List.map (fun m -> (mutation_name m, get applied (mutation_name m))) all_mutations;
+            fz_detected =
+              List.map (fun m -> (mutation_name m, detected_count acc ~overflows m)) all_mutations;
+            fz_detections = st.Supervisor.st_detections;
+            fz_restarts = st.Supervisor.st_restarts;
+            fz_deaths = invariant_deaths ctx;
+            fz_state = Supervisor.state sv;
+            fz_violations = violations;
+            fz_sched } ))
 
 (* ---- protocol-violation crash loop: the restart budget must quarantine ---- *)
 
@@ -286,24 +268,11 @@ type quarantine_report = {
 }
 
 let quarantine_campaign ?(max_restarts = 3) () =
+  let scenario = "proto_quarantine" in
   let w = Fault_inject.make_world () in
-  Fault_inject.in_world w (fun () ->
+  Fault_inject.in_world ~scenario ~max_ms:30_000 w.Fault_inject.k (fun () ->
       let open Fault_inject in
-      let secret_addr = Phys_mem.alloc_pages w.k.Kernel.mem ~pages:1 in
-      Phys_mem.write w.k.Kernel.mem ~addr:secret_addr (Bytes.of_string secret);
-      let sv =
-        match
-          Supervisor.start w.k w.sp ~policy:(soak_policy ~max_restarts) ~bdf:w.bdf
-            honest_factory
-        with
-        | Ok sv -> sv
-        | Error e -> failwith ("proto_fuzz: quarantine start failed: " ^ e)
-      in
-      let ctx = install_invariants w sv ~secret_addr in
-      let dev = Supervisor.netdev sv in
-      (match Netstack.ifconfig_up w.k.Kernel.net dev with
-       | Ok () -> ()
-       | Error e -> failwith ("proto_fuzz: ifconfig up: " ^ e));
+      let sv, dev, ctx = supervise ~scenario ~policy:(soak_policy ~max_restarts) w in
       let tr = start_traffic w dev ~gap_ns:400_000 in
       (* Every fresh generation speaks out of protocol immediately: the
          supervisor must burn its restart budget and quarantine. *)
@@ -325,13 +294,10 @@ let quarantine_campaign ?(max_restarts = 3) () =
               in
               loop ())
          : Fiber.t);
-      let rec wait budget =
-        if budget > 0 && Supervisor.state sv <> Supervisor.Quarantined then begin
-          ignore (Fiber.sleep w.eng 10_000_000 : Fiber.wake);
-          wait (budget - 1)
-        end
-      in
-      wait 1_000;
+      ignore
+        (poll w.eng ~every_ns:10_000_000 ~budget:1_000 (fun () ->
+             Supervisor.state sv = Supervisor.Quarantined)
+         : bool);
       tr.tr_stop <- true;
       let st = Supervisor.stats sv in
       { pq_restarts = st.Supervisor.st_restarts;

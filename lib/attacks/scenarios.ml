@@ -557,13 +557,10 @@ let fast_policy =
     backoff_max_ns = 10_000_000 }
 
 let wait_recovered w sv =
-  let rec loop budget =
-    if budget > 0 && (Supervisor.stats sv).Supervisor.st_restarts = 0 then begin
-      settle w 2;
-      loop (budget - 1)
-    end
-  in
-  loop 200
+  ignore
+    (Fault_inject.poll w.eng ~every_ns:2_000_000 ~budget:200 (fun () ->
+         (Supervisor.stats sv).Supervisor.st_restarts > 0)
+     : bool)
 
 (* One probe frame through the (possibly fresh) driver; true if it
    reached the wire. *)
@@ -652,7 +649,7 @@ let driver_hang_recovery () =
         settle w 3;
         (* Wedge the driver's main upcall loop: no crash, no fault — only
            the heartbeat ping can notice. *)
-        let applied = Fault_inject.inject ~sv Fault_inject.Hang in
+        let applied = Fault_inject.inject ~eng:w.eng ~sv Fault_inject.Hang in
         wait_recovered w sv;
         settle w 5;
         let st = Supervisor.stats sv in

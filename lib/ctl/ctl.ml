@@ -10,6 +10,21 @@ let state_name = function
   | Supervisor.Quarantined -> "quarantined"
   | Supervisor.Stopped -> "stopped"
 
+(* A supervised honest NVMe in a fresh world; [f] runs in a kernel
+   fiber of it. *)
+let with_nvme ~scenario ~max_ms ~policy f =
+  let w = Fault_inject.make_blk_world () in
+  Fault_inject.in_world ~scenario ~max_ms w.Fault_inject.bw_k (fun () ->
+      let sv, bd, _ = Fault_inject.supervise_blk ~scenario ~policy w in
+      f w sv bd)
+
+(* Give the watchdog time to park the warm standby. *)
+let standby_ready eng sv =
+  ignore
+    (Fault_inject.poll eng ~every_ns:1_000_000 ~budget:2_000 (fun () ->
+         Supervisor.standby_status sv = Standby.Ready)
+     : bool)
+
 (* sudctl blk status *)
 
 type blk_status = {
@@ -34,25 +49,13 @@ type blk_status = {
 let probe_pages = 32
 
 let blk_status () =
-  let w = Fault_inject.make_blk_world () in
-  Fault_inject.in_blk_world ~max_ms:2_000 w (fun () ->
-      let sv =
-        ok "supervise nvme"
-          (Supervisor.start_blk w.Fault_inject.bw_k w.Fault_inject.bw_sp
-             ~policy:(Fault_inject.soak_policy ~max_restarts:10)
-             ~bdf:w.Fault_inject.bw_bdf Fault_inject.honest_blk_factory)
-      in
-      let eng = w.Fault_inject.bw_eng in
-      let deadline = Engine.now eng + 1_000_000_000 in
-      let rec blkdev () =
-        match Supervisor.blkdev sv with
-        | Some bd when Blkdev.capacity bd > 0 -> bd
-        | _ ->
-          if Engine.now eng > deadline then failwith "blk status: no block device registered";
-          ignore (Fiber.sleep eng 100_000 : Fiber.wake);
-          blkdev ()
-      in
-      let bd = blkdev () in
+  with_nvme ~scenario:"blk status" ~max_ms:2_000
+    ~policy:(Fault_inject.soak_policy ~max_restarts:10) (fun w sv bd ->
+      if
+        not
+          (Fault_inject.poll w.Fault_inject.bw_eng ~every_ns:100_000 ~budget:10_000 (fun () ->
+               Blkdev.capacity bd > 0))
+      then failwith "blk status: no block device registered";
       (* A short synchronous probe so every layer has something to
          count: dirty a few pages, fsync them out, read them back, and
          finish with one write-through. *)
@@ -176,8 +179,9 @@ let row ~cls sv =
     dv_upgrades = Supervisor.upgrades sv }
 
 let driver_list () =
+  let scenario = "driver list" in
   let w = Fault_inject.make_blk_world () in
-  Fault_inject.in_blk_world ~max_ms:5_000 w (fun () ->
+  Fault_inject.in_world ~scenario ~max_ms:5_000 w.Fault_inject.bw_k (fun () ->
       let k = w.Fault_inject.bw_k in
       let eng = w.Fault_inject.bw_eng in
       (* One device of each class behind the same class-indexed launch
@@ -192,14 +196,10 @@ let driver_list () =
           (Supervisor.start k w.Fault_inject.bw_sp ~policy:warm ~bdf:nbdf
              (fun ~attempt:_ -> E1000.driver))
       in
-      let sv_blk =
-        ok "supervise nvme"
-          (Supervisor.start_blk k w.Fault_inject.bw_sp ~policy:warm
-             ~bdf:w.Fault_inject.bw_bdf Fault_inject.honest_blk_factory)
-      in
+      let sv_blk, _, _ = Fault_inject.supervise_blk ~scenario ~policy:warm w in
       (* Give both watchdogs a tick so the standbys park. *)
-      ignore (Fault_inject.wait_standby_ready ~eng sv_net ~budget_ms:2_000 : bool);
-      ignore (Fault_inject.wait_standby_ready ~eng sv_blk ~budget_ms:2_000 : bool);
+      standby_ready eng sv_net;
+      standby_ready eng sv_blk;
       let rows = [ row ~cls:"net" sv_net; row ~cls:"blk" sv_blk ] in
       Supervisor.stop sv_net;
       Supervisor.stop sv_blk;
@@ -225,17 +225,9 @@ let sysfs_state k bdf =
   | None -> ""
 
 let driver_status () =
-  let w = Fault_inject.make_blk_world () in
-  Fault_inject.in_blk_world ~max_ms:5_000 w (fun () ->
+  with_nvme ~scenario:"driver status" ~max_ms:5_000 ~policy:warm (fun w sv _ ->
       let k = w.Fault_inject.bw_k in
-      let sv =
-        ok "supervise nvme"
-          (Supervisor.start_blk k w.Fault_inject.bw_sp ~policy:warm
-             ~bdf:w.Fault_inject.bw_bdf Fault_inject.honest_blk_factory)
-      in
-      ignore
-        (Fault_inject.wait_standby_ready ~eng:w.Fault_inject.bw_eng sv ~budget_ms:2_000
-         : bool);
+      standby_ready w.Fault_inject.bw_eng sv;
       let st = Supervisor.stats sv in
       let warmed, poisoned = Supervisor.standby_stats sv in
       let r =
@@ -271,20 +263,9 @@ type swap_report = {
    fsync a working set, swap generations, and prove the acked data and
    the datapath both survived. *)
 let swap_probe ~op doit =
-  let w = Fault_inject.make_blk_world () in
-  Fault_inject.in_blk_world ~max_ms:10_000 w (fun () ->
+  with_nvme ~scenario:("driver " ^ op) ~max_ms:10_000 ~policy:warm (fun w sv bd ->
       let k = w.Fault_inject.bw_k in
       let eng = w.Fault_inject.bw_eng in
-      let sv =
-        ok "supervise nvme"
-          (Supervisor.start_blk k w.Fault_inject.bw_sp ~policy:warm
-             ~bdf:w.Fault_inject.bw_bdf Fault_inject.honest_blk_factory)
-      in
-      let bd =
-        match Supervisor.blkdev sv with
-        | Some bd -> bd
-        | None -> failwith (op ^ ": no block device registered")
-      in
       let errors = ref 0 in
       let page i = Bytes.make Blkdev.page_size (Char.chr (0x40 + (i land 0x1f))) in
       for i = 0 to probe_pages - 1 do
@@ -293,14 +274,17 @@ let swap_probe ~op doit =
         | Error _ -> incr errors
       done;
       (match Blkdev.fsync bd () with Ok () -> () | Error _ -> incr errors);
-      ignore (Fault_inject.wait_standby_ready ~eng sv ~budget_ms:2_000 : bool);
+      standby_ready eng sv;
       let outage = ref 0 in
       Supervisor.on_event sv (function
           | Supervisor.Driver_restarted { outage_ns; _ } when !outage = 0 ->
             outage := outage_ns
           | _ -> ());
       let result = doit sv in
-      ignore (Fault_inject.wait_running ~eng sv ~budget_ms:5_000 : bool);
+      ignore
+        (Fault_inject.poll eng ~every_ns:1_000_000 ~budget:5_000 (fun () ->
+             Supervisor.state sv = Supervisor.Running)
+         : bool);
       let intact = ref 0 in
       for i = 0 to probe_pages - 1 do
         match Blkdev.read bd ~lba:(i * Blkdev.page_sectors) ~sectors:Blkdev.page_sectors () with

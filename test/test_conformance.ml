@@ -253,7 +253,7 @@ let run_schedule ops =
                   acked
               | Error e -> failures := Printf.sprintf "fsync: %s" e :: !failures)
            | Bcrash ->
-             ignore (Fault_inject.blk_inject ~eng ~sv ~nvme Fault_inject.Bcrash : bool);
+             ignore (Fault_inject.inject ~eng ~sv Fault_inject.Crash : bool);
              let deadline = Engine.now eng + 5_000_000_000 in
              while Supervisor.state sv <> Supervisor.Running
                    && Engine.now eng < deadline do

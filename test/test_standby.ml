@@ -7,15 +7,15 @@
 
 let warm = Fault_inject.warm_policy ~max_restarts:10
 
-let start_warm w =
-  match
-    Supervisor.start_blk w.Fault_inject.bw_k w.Fault_inject.bw_sp ~policy:warm
-      ~bdf:w.Fault_inject.bw_bdf Fault_inject.honest_blk_factory
-  with
-  | Ok sv -> sv
-  | Error e -> Alcotest.fail ("supervised start: " ^ e)
+(* A warm-standby supervised NVMe in a fresh world; [f] runs in a kernel
+   fiber of it. *)
+let with_warm ~max_ms f =
+  let scenario = "standby test" in
+  let w = Fault_inject.make_blk_world () in
+  Fault_inject.in_world ~scenario ~max_ms w.Fault_inject.bw_k (fun () ->
+      let sv, bd, _ = Fault_inject.supervise_blk ~scenario ~policy:warm w in
+      f w w.Fault_inject.bw_eng sv bd)
 
-let blkdev sv = Option.get (Supervisor.blkdev sv)
 let page c = Bytes.make Blkdev.page_size c
 
 let write_page bd p c =
@@ -34,33 +34,21 @@ let check_page bd p c =
       (Bytes.to_string (page c)) (Bytes.to_string data)
   | Error e -> Alcotest.failf "read page %d: %s" p e
 
+let poll_ms eng ~budget_ms pred = Fault_inject.poll eng ~every_ns:1_000_000 ~budget:budget_ms pred
+
+let standby_ready eng sv =
+  poll_ms eng ~budget_ms:2_000 (fun () -> Supervisor.standby_status sv = Standby.Ready)
+
+let running eng sv =
+  poll_ms eng ~budget_ms:5_000 (fun () -> Supervisor.state sv = Supervisor.Running)
+
 (* A crash is only detected at the watchdog's next tick, so "state is
    Running" right after an injection means "not yet detected" — wait
    for the restart counter instead. *)
-let wait_restarts ~eng sv n ~budget_ms =
-  let rec loop budget =
-    if
+let restarted eng sv n =
+  poll_ms eng ~budget_ms:5_000 (fun () ->
       (Supervisor.stats sv).Supervisor.st_restarts >= n
-      && Supervisor.state sv = Supervisor.Running
-    then true
-    else if budget = 0 then false
-    else begin
-      ignore (Fiber.sleep eng 1_000_000 : Fiber.wake);
-      loop (budget - 1)
-    end
-  in
-  loop budget_ms
-
-let wait_poisoned ~eng sv n ~budget_ms =
-  let rec loop budget =
-    if snd (Supervisor.standby_stats sv) >= n then true
-    else if budget = 0 then false
-    else begin
-      ignore (Fiber.sleep eng 1_000_000 : Fiber.wake);
-      loop (budget - 1)
-    end
-  in
-  loop budget_ms
+      && Supervisor.state sv = Supervisor.Running)
 
 let sud_state w =
   match Sysfs.find_bdf w.Fault_inject.bw_k.Kernel.sysfs w.Fault_inject.bw_bdf with
@@ -71,22 +59,17 @@ let sud_state w =
    by the standby (one restart, one warm swap), the fsynced data must
    survive, and the next standby must park again afterwards. *)
 let test_warm_failover () =
-  let w = Fault_inject.make_blk_world () in
-  Fault_inject.in_blk_world w (fun () ->
-      let eng = w.Fault_inject.bw_eng in
-      let sv = start_warm w in
-      let bd = blkdev sv in
+  with_warm ~max_ms:120_000 (fun w eng sv bd ->
       write_page bd 0 'A';
       write_page bd 1 'B';
       fsync bd;
       Alcotest.(check bool) "standby parks Ready" true
-        (Fault_inject.wait_standby_ready ~eng sv ~budget_ms:2_000);
+        (standby_ready eng sv);
       Alcotest.(check string) "sysfs shows the parked standby" "standby_ready"
         (sud_state w);
       Alcotest.(check bool) "crash applied" true
-        (Fault_inject.blk_inject ~eng ~sv ~nvme:w.Fault_inject.bw_nvme
-           Fault_inject.Bcrash);
-      Alcotest.(check bool) "recovered" true (wait_restarts ~eng sv 1 ~budget_ms:5_000);
+        (Fault_inject.inject ~eng ~sv Fault_inject.Crash);
+      Alcotest.(check bool) "recovered" true (restarted eng sv 1);
       Alcotest.(check int) "one restart" 1 (Supervisor.stats sv).Supervisor.st_restarts;
       Alcotest.(check int) "served by the warm standby" 1 (Supervisor.warm_swaps sv);
       check_page bd 0 'A';
@@ -95,36 +78,31 @@ let test_warm_failover () =
       fsync bd;
       check_page bd 2 'C';
       Alcotest.(check bool) "next standby parks after the swap" true
-        (Fault_inject.wait_standby_ready ~eng sv ~budget_ms:2_000);
+        (standby_ready eng sv);
       Supervisor.stop sv)
 
 (* A standby that dies while parked is poisoned: it must be discarded
    and rebuilt by the watchdog — and the corpse must never become the
    live generation. *)
 let test_poisoned_standby_rebuilt () =
-  let w = Fault_inject.make_blk_world () in
-  Fault_inject.in_blk_world w (fun () ->
-      let eng = w.Fault_inject.bw_eng in
-      let sv = start_warm w in
-      let bd = blkdev sv in
+  with_warm ~max_ms:120_000 (fun _ eng sv bd ->
       write_page bd 0 'P';
       fsync bd;
       Alcotest.(check bool) "standby parks Ready" true
-        (Fault_inject.wait_standby_ready ~eng sv ~budget_ms:2_000);
+        (standby_ready eng sv);
       let corpse = Option.get (Supervisor.standby_proc sv) in
       Alcotest.(check bool) "poison applied" true (Fault_inject.inject_standby_poison ~sv);
       (* The watchdog's next probe discards the corpse and warms a
          replacement. *)
       Alcotest.(check bool) "poison was counted" true
-        (wait_poisoned ~eng sv 1 ~budget_ms:2_000);
+        (poll_ms eng ~budget_ms:2_000 (fun () -> snd (Supervisor.standby_stats sv) >= 1));
       Alcotest.(check bool) "replacement parks Ready" true
-        (Fault_inject.wait_standby_ready ~eng sv ~budget_ms:2_000);
+        (standby_ready eng sv);
       Alcotest.(check bool) "replacement is a fresh process" true
         (Option.get (Supervisor.standby_proc sv) != corpse);
       Alcotest.(check bool) "crash applied" true
-        (Fault_inject.blk_inject ~eng ~sv ~nvme:w.Fault_inject.bw_nvme
-           Fault_inject.Bcrash);
-      Alcotest.(check bool) "recovered" true (wait_restarts ~eng sv 1 ~budget_ms:5_000);
+        (Fault_inject.inject ~eng ~sv Fault_inject.Crash);
+      Alcotest.(check bool) "recovered" true (restarted eng sv 1);
       Alcotest.(check bool) "the corpse never became the live generation" true
         (match Supervisor.proc sv with
          | Some p -> p != corpse && Process.is_alive p
@@ -136,16 +114,12 @@ let test_poisoned_standby_rebuilt () =
    in-flight work.  The swap must proceed anyway and the undrained
    write must replay — acked data survives the worst-timed death. *)
 let test_double_failover () =
-  let w = Fault_inject.make_blk_world () in
-  Fault_inject.in_blk_world w (fun () ->
-      let eng = w.Fault_inject.bw_eng in
+  with_warm ~max_ms:120_000 (fun w eng sv bd ->
       let k = w.Fault_inject.bw_k in
-      let sv = start_warm w in
-      let bd = blkdev sv in
       write_page bd 0 'D';
       fsync bd;
       Alcotest.(check bool) "standby parks Ready" true
-        (Fault_inject.wait_standby_ready ~eng sv ~budget_ms:2_000);
+        (standby_ready eng sv);
       (* Arm the device to drop the next write completion, then issue
          that write from a fiber: it sticks in flight, so the upgrade's
          drain loop is guaranteed to still be waiting when the killer
@@ -171,7 +145,7 @@ let test_double_failover () =
        | Ok () -> ()
        | Error e -> Alcotest.fail ("upgrade through the double failover: " ^ e));
       Alcotest.(check bool) "running after the double failover" true
-        (Fault_inject.wait_running ~eng sv ~budget_ms:5_000);
+        (running eng sv);
       (* The undrained write replays on resume and completes. *)
       let deadline = Engine.now eng + 5_000_000_000 in
       while !stuck_done = None && Engine.now eng < deadline do
@@ -189,18 +163,14 @@ let test_double_failover () =
 (* Live upgrade under load: zero loss, not a detection, and the sysfs
    state walks running -> upgrading -> standby_ready. *)
 let test_upgrade_zero_loss () =
-  let w = Fault_inject.make_blk_world () in
-  Fault_inject.in_blk_world w (fun () ->
-      let eng = w.Fault_inject.bw_eng in
+  with_warm ~max_ms:120_000 (fun w eng sv bd ->
       let k = w.Fault_inject.bw_k in
-      let sv = start_warm w in
-      let bd = blkdev sv in
       for p = 0 to 7 do
         write_page bd p (Char.chr (0x61 + p))
       done;
       fsync bd;
       Alcotest.(check bool) "standby parks Ready" true
-        (Fault_inject.wait_standby_ready ~eng sv ~budget_ms:2_000);
+        (standby_ready eng sv);
       (* Keep writes in flight so the drain window is observable, and
          sample sud_state from a monitor fiber while it is. *)
       let states = ref [] and stop = ref false in
@@ -231,9 +201,9 @@ let test_upgrade_zero_loss () =
        | Ok () -> ()
        | Error e -> Alcotest.fail ("upgrade: " ^ e));
       Alcotest.(check bool) "running after upgrade" true
-        (Fault_inject.wait_running ~eng sv ~budget_ms:5_000);
+        (running eng sv);
       Alcotest.(check bool) "rewarmed standby parks" true
-        (Fault_inject.wait_standby_ready ~eng sv ~budget_ms:2_000);
+        (standby_ready eng sv);
       stop := true;
       let st = Supervisor.stats sv in
       Alcotest.(check int) "one upgrade" 1 st.Supervisor.st_upgrades;
@@ -275,11 +245,7 @@ let pp_uop = function
   | Upoison -> "poison"
 
 let run_schedule ops =
-  let w = Fault_inject.make_blk_world () in
-  Fault_inject.in_blk_world ~max_ms:60_000 w (fun () ->
-      let eng = w.Fault_inject.bw_eng in
-      let sv = start_warm w in
-      let bd = blkdev sv in
+  with_warm ~max_ms:60_000 (fun w eng sv bd ->
       let synced = Array.make 8 None in
       let acked = Array.make 8 None in
       let failures = ref [] in
@@ -308,19 +274,17 @@ let run_schedule ops =
               | Error e -> failures := Printf.sprintf "fsync: %s" e :: !failures)
            | Ucrash ->
              let r0 = (Supervisor.stats sv).Supervisor.st_restarts in
-             if
-               Fault_inject.blk_inject ~eng ~sv ~nvme:w.Fault_inject.bw_nvme
-                 Fault_inject.Bcrash
-             then ignore (wait_restarts ~eng sv (r0 + 1) ~budget_ms:5_000 : bool)
+             if Fault_inject.inject ~eng ~sv Fault_inject.Crash then
+               ignore (restarted eng sv (r0 + 1) : bool)
              else wait_running ()
            | Uupgrade ->
-             ignore (Fault_inject.wait_standby_ready ~eng sv ~budget_ms:2_000 : bool);
+             ignore (standby_ready eng sv : bool);
              (match Supervisor.upgrade sv with
               | Ok () -> ()
               | Error e -> failures := ("upgrade: " ^ e) :: !failures);
              wait_running ()
            | Upoison ->
-             ignore (Fault_inject.wait_standby_ready ~eng sv ~budget_ms:2_000 : bool);
+             ignore (standby_ready eng sv : bool);
              ignore (Fault_inject.inject_standby_poison ~sv : bool))
         ops;
       wait_running ();
@@ -369,7 +333,7 @@ let test_warm_recovery_pins () =
          s.Fault_inject.rs_detect_ns;
        Alcotest.(check int) (s.Fault_inject.rs_fault ^ " warm outage ns") outage
          s.Fault_inject.rs_outage_ns)
-    Fault_inject.[ (Bcrash, 947_232, 106_784); (Bhang, 11_000_470, 110_744) ]
+    Fault_inject.[ (Crash, 947_232, 106_784); (Hang, 11_000_470, 110_744) ]
 
 (* The interleaving soak, pinned: counts and the schedule fingerprint. *)
 let test_upgrade_soak_pin () =

@@ -147,7 +147,7 @@ let test_batch_corrupt_no_restart () =
         | None -> 0
       in
       Alcotest.(check bool) "injection armed" true
-        (Fault_inject.inject ~sv Fault_inject.Corrupt_batch);
+        (Fault_inject.inject ~eng:w.eng ~sv Fault_inject.Corrupt_batch);
       Alcotest.(check bool) "corrupt_batch is the non-lethal class" false
         (Fault_inject.lethal Fault_inject.Corrupt_batch);
       (* A wire burst parks several frames in the NIC RX ring before the
@@ -249,6 +249,43 @@ let test_hang_heartbeat () =
      that notices it, and the cold restart that follows. *)
   Alcotest.(check int) "hang detect ns" 11_000_470 s.Fault_inject.rs_detect_ns;
   Alcotest.(check int) "hang outage ns" 1_585_778 s.Fault_inject.rs_outage_ns
+
+(* A device-level class whose device hook the world lacks is counted
+   skipped, never applied: the driver sees nothing, so nothing is
+   detected. *)
+let run_unhooked faults =
+  let scenario = "unhooked plan" in
+  let w = Fault_inject.make_world () in
+  Fault_inject.in_world ~scenario ~max_ms:1_000 w.Fault_inject.k (fun () ->
+      let sv, _, _ =
+        Fault_inject.supervise ~scenario ~policy:(Fault_inject.soak_policy ~max_restarts:10) w
+      in
+      let plan =
+        List.mapi (fun i fault -> { Fault_inject.at_ns = (i + 1) * 1_000_000; fault }) faults
+      in
+      let stats = Fault_inject.run_plan w.Fault_inject.k ~sv plan in
+      ignore (Fiber.sleep w.Fault_inject.eng 50_000_000 : Fiber.wake);
+      Alcotest.(check int) "none applied" 0 stats.Fault_inject.inj_applied;
+      Alcotest.(check int) "all skipped" (List.length faults) stats.Fault_inject.inj_skipped;
+      Alcotest.(check int) "no class counted" 0 (Hashtbl.length stats.Fault_inject.inj_by_class);
+      Alcotest.(check int) "nothing detected" 0 (Supervisor.stats sv).Supervisor.st_detections;
+      Supervisor.stop sv)
+
+let test_storage_faults_skipped_on_net () =
+  run_unhooked
+    Fault_inject.[ Corrupt_completion; Drop_completion; Drop_flush; Crash_mid_barrier ];
+  Alcotest.(check bool) "every storage class is lethal" true
+    (List.for_all Fault_inject.lethal Fault_inject.all_blk_faults)
+
+let test_dma_violation_needs_hook () = run_unhooked [ Fault_inject.Dma_violation ]
+
+(* A body that never returns fails the run naming its scenario. *)
+let test_runner_names_scenario () =
+  let w = Fault_inject.make_blk_world () in
+  Alcotest.check_raises "failure names the scenario" (Failure "stuck probe did not complete")
+    (fun () ->
+       Fault_inject.in_world ~scenario:"stuck probe" ~max_ms:1 w.Fault_inject.bw_k (fun () ->
+           ignore (Fiber.sleep w.Fault_inject.bw_eng 10_000_000 : Fiber.wake)))
 
 let test_crash_loop_quarantine () =
   let q = Fault_inject.crash_loop ~max_restarts:2 () in
@@ -370,6 +407,12 @@ let suite =
     Alcotest.test_case "wedged main loop caught by heartbeat" `Quick test_hang_heartbeat;
     Alcotest.test_case "crash loop exhausts budget → quarantine" `Quick
       test_crash_loop_quarantine;
+    Alcotest.test_case "storage faults against the net supervisor are skipped" `Quick
+      test_storage_faults_skipped_on_net;
+    Alcotest.test_case "dma_violation without a device hook is skipped" `Quick
+      test_dma_violation_needs_hook;
+    Alcotest.test_case "world runner failure names the scenario" `Quick
+      test_runner_names_scenario;
     Alcotest.test_case "soak: overtaken corruption not flagged" `Quick
       test_overtaken_corruption_not_flagged;
     Alcotest.test_case "soak: carried corruption must count malformed" `Quick
