@@ -250,16 +250,16 @@ type sched_summary = {
   ss_dump : string option;
 }
 
-(* Close out a (possibly recorded) run: fingerprint it, and if the run
-   violated an invariant, dump a replayable schedule file under traces/
-   so the failure is a repro, not an anecdote. *)
-let finish_sched ~scenario ~seed ~sched ~eng rec_ ~violations =
+(* [in_world] under an optional scheduler, with the run's fingerprint:
+   [body] returns its violations and the report to build around the
+   fingerprint, which is taken once the engine has run to [max_ms].  A
+   run that violated an invariant also dumps a replayable schedule file
+   under traces/, so the failure is a repro, not an anecdote. *)
+let run_recorded ~scenario ~seed ?sched ~max_ms k body =
+  let eng = k.Kernel.eng in
   let spec = Option.value ~default:Sched.Fifo sched in
-  let points, divergence =
-    match rec_ with
-    | Some r -> (r.Sched.rec_points, r.Sched.rec_divergence)
-    | None -> (0, None)
-  in
+  let rec_ = Option.map (fun s -> Sched.install eng s) sched in
+  let violations, report = in_world ~scenario ~max_ms k body in
   let r =
     match rec_ with
     | Some r -> r
@@ -282,23 +282,15 @@ let finish_sched ~scenario ~seed ~sched ~eng rec_ ~violations =
       | exception Sys_error _ -> None
     end
   in
-  { ss_policy = Sched.spec_label spec;
-    ss_points = points;
-    ss_decisions = Sched.decisions r;
-    ss_steps = steps;
-    ss_trace_hash = trace_hash;
-    ss_metrics_hash = metrics_hash;
-    ss_divergence = divergence;
-    ss_dump = dump }
-
-(* [in_world] under an optional scheduler, with the run's fingerprint:
-   [body] returns its violations and the report to build around the
-   fingerprint once the engine has drained. *)
-let run_recorded ~scenario ~seed ?sched ~max_ms k body =
-  let eng = k.Kernel.eng in
-  let rec_ = Option.map (fun s -> Sched.install eng s) sched in
-  let violations, report = in_world ~scenario ~max_ms k body in
-  report (finish_sched ~scenario ~seed ~sched ~eng rec_ ~violations)
+  report
+    { ss_policy = Sched.spec_label spec;
+      ss_points = r.Sched.rec_points;
+      ss_decisions = Sched.decisions r;
+      ss_steps = steps;
+      ss_trace_hash = trace_hash;
+      ss_metrics_hash = metrics_hash;
+      ss_divergence = r.Sched.rec_divergence;
+      ss_dump = dump }
 
 (* ---- supervision under the containment invariants ---- *)
 
