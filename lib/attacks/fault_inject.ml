@@ -658,18 +658,21 @@ let probe ~scenario ~warm ~label eng sv inject_once =
       rs_detect_ns = st.Supervisor.st_last_detect_latency_ns;
       rs_outage_ns = outage }
 
-let measure_recovery fault =
-  let scenario = "measure_recovery" in
+let measure_net ~scenario ~warm fault =
   let w = make_world () in
   in_world ~scenario ~max_ms:30_000 w.k (fun () ->
-      let sv, dev, _ = supervise ~scenario ~policy:(soak_policy ~max_restarts:10) w in
+      let policy = (if warm then warm_policy else soak_policy) ~max_restarts:10 in
+      let sv, dev, _ = supervise ~scenario ~policy w in
       let tr = start_traffic w dev ~gap_ns:200_000 in
       let s =
-        probe ~scenario ~warm:false ~label:(fault_name fault) w.eng sv (fun () ->
+        probe ~scenario ~warm ~label:(fault_name fault) w.eng sv (fun () ->
             inject ~eng:w.eng ~sv ~dma_violate:(dma_violate w) fault)
       in
       tr.tr_stop <- true;
       s)
+
+let measure_recovery = measure_net ~scenario:"measure_recovery" ~warm:false
+let measure_warm_recovery = measure_net ~scenario:"measure_warm_recovery" ~warm:true
 
 (* ---- forced crash-loop: the restart budget must quarantine ---- *)
 

@@ -341,6 +341,11 @@ val measure_recovery : fault -> recovery_sample
 (** Inject exactly one fault of the class into a freshly supervised
     driver under traffic and report the observed latencies. *)
 
+val measure_warm_recovery : fault -> recovery_sample
+(** {!measure_recovery} under {!warm_policy}: waits for the parked
+    generation to be Ready before injecting, then requires the recovery
+    to have taken the warm-swap path. *)
+
 (** {1 Crash loop} *)
 
 type quarantine_report = {

@@ -12,4 +12,5 @@ let () =
       ("conformance", Test_conformance.suite);
       ("ctl", Test_ctl.suite);
       ("standby", Test_standby.suite);
+      ("host", Test_host.suite);
       ("check", Test_check.suite) ]

@@ -335,6 +335,20 @@ let test_warm_recovery_pins () =
          s.Fault_inject.rs_outage_ns)
     Fault_inject.[ (Crash, 947_232, 106_784); (Hang, 11_000_470, 110_744) ]
 
+(* The net twin: the same probe on a supervised e1000 under traffic. *)
+let test_warm_net_recovery_pins () =
+  List.iter
+    (fun (fault, detect, outage) ->
+       let s = Fault_inject.measure_warm_recovery fault in
+       Alcotest.(check int) (s.Fault_inject.rs_fault ^ " detect ns") detect
+         s.Fault_inject.rs_detect_ns;
+       Alcotest.(check int) (s.Fault_inject.rs_fault ^ " warm outage ns") outage
+         s.Fault_inject.rs_outage_ns)
+    Fault_inject.
+      [ (Crash, 947_664, 1_084_548);
+        (Hang, 11_000_470, 1_084_043);
+        (Dma_violation, 1_000_000, 1_084_548) ]
+
 (* The interleaving soak, pinned: counts and the schedule fingerprint. *)
 let test_upgrade_soak_pin () =
   let r = Fault_inject.upgrade_soak ~seed:0x0F6L ~interleavings:4 () in
@@ -358,5 +372,6 @@ let suite =
     Alcotest.test_case "live upgrade: zero loss, not a detection, sysfs transitions"
       `Quick test_upgrade_zero_loss;
     Alcotest.test_case "warm recovery latency pins" `Quick test_warm_recovery_pins;
+    Alcotest.test_case "warm net recovery latency pins" `Quick test_warm_net_recovery_pins;
     Alcotest.test_case "upgrade soak pin" `Quick test_upgrade_soak_pin;
     QCheck_alcotest.to_alcotest prop_upgrades_compose ]
