@@ -40,10 +40,10 @@ let () =
                   let p = Driver_host.proc s in
                   Printf.sprintf "pid %d uid %d" (Process.pid p) (Process.uid p)
                 | Ok (Delegation.Started_wifi s) ->
-                  let p = Driver_host.wifi_proc s in
+                  let p = Driver_host.proc s in
                   Printf.sprintf "pid %d uid %d" (Process.pid p) (Process.uid p)
                 | Ok (Delegation.Started_audio s) ->
-                  let p = Driver_host.audio_proc s in
+                  let p = Driver_host.proc s in
                   Printf.sprintf "pid %d uid %d" (Process.pid p) (Process.uid p)
                 | Error e -> "FAILED: " ^ e
               in

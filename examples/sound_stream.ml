@@ -18,8 +18,8 @@ let () =
            | Error e -> failwith e
          in
          (* Realtime scheduling for the audio driver process. *)
-         Process.set_scheduler (Driver_host.audio_proc s) Process.Realtime;
-         let proxy = Driver_host.audio_proxy s in
+         Process.set_scheduler (Driver_host.proc s) Process.Realtime;
+         let proxy = Driver_host.proxy s in
          (match Proxy_audio.set_volume proxy 70 with
           | Ok () -> print_endline "mixer: volume 70"
           | Error e -> failwith e);

@@ -26,7 +26,7 @@ let () =
            | Ok s -> s
            | Error e -> failwith e
          in
-         let proxy = Driver_host.usb_proxy s in
+         let proxy = Driver_host.proxy s in
          Proxy_usb.set_key_handler proxy (fun key ->
              Printf.printf "[input] key event 0x%02x\n" key);
          (match Proxy_usb.wait_block proxy ~timeout_ns:2_000_000_000 with

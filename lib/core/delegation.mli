@@ -10,9 +10,9 @@ type registry_entry =
   | Audio of Driver_api.audio_driver
 
 type started =
-  | Started_net of Driver_host.started
-  | Started_wifi of Driver_host.started_wifi
-  | Started_audio of Driver_host.started_audio
+  | Started_net of Driver_host.net
+  | Started_wifi of Driver_host.wifi
+  | Started_audio of Driver_host.audio
 
 val scan_and_start :
   Kernel.t ->

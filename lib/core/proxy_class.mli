@@ -19,7 +19,7 @@
     is coming.  [handoff]/[adopt] carry the class's kernel-facing state
     (surviving netdev, blk persist record, mirrored device attributes)
     from a dying generation's proxy to its successor — the contract both
-    warm-standby swap and shadow recovery ride.  The supervisor and
+    the warm-standby swap and the cold restart ride.  The supervisor and
     driver host program against {!instance} instead of pattern-matching
     on proxy kinds, so adding a device class never touches the recovery
     machinery. *)

@@ -61,31 +61,12 @@ type stats = {
   st_upgrades : int;
 }
 
-(* The class-independent view of one driver generation. *)
-type gen = {
-  g_proc : Process.t;
-  g_chan : Uchan.t;
-  g_grant : Safe_pci.grant;
-  g_class : Proxy_class.instance;
-  g_net : Driver_host.started option;
-  g_blk : Driver_host.started_blk option;
-}
+(* The live generation, with the witness that recovers its class. *)
+type (_, _) kind =
+  | Knet : (Proxy_net.t, Netdev.t) kind
+  | Kblk : (Proxy_blk.t, Blkdev.t) kind
 
-let gen_of_net s =
-  { g_proc = Driver_host.proc s;
-    g_chan = Driver_host.chan s;
-    g_grant = Driver_host.grant s;
-    g_class = Driver_host.class_of s;
-    g_net = Some s;
-    g_blk = None }
-
-let gen_of_blk s =
-  { g_proc = Driver_host.blk_proc s;
-    g_chan = Driver_host.blk_chan s;
-    g_grant = Driver_host.blk_grant s;
-    g_class = Driver_host.blk_class s;
-    g_net = None;
-    g_blk = Some s }
+type live = Live : ('p, 'd) kind * ('p, 'd) Driver_host.gen -> live
 
 (* What the supervisor restarts, and the class-specific containment
    state that survives generations. *)
@@ -110,7 +91,7 @@ type t = {
   target : target;
   kickq : Sync.Waitq.t;
   mutable state : state;
-  mutable cur : gen option;
+  mutable cur : live option;
   mutable listeners : (event -> unit) list;
   mutable restarts : int;
   mutable detections : int;
@@ -170,20 +151,21 @@ let count_faults t =
 (* Adopt a fresh driver generation: record it, rebase the signal
    baselines, and arm a death-kick so the watchdog reacts to process
    exit immediately rather than on the next tick. *)
-let install t g =
-  t.cur <- Some g;
+let install t (Live (_, g) as l) =
+  t.cur <- Some l;
   t.gen <- t.gen + 1;
   let gen = t.gen in
-  let um = Uchan.metrics g.g_chan in
+  let chan = Driver_host.chan g in
+  let um = Uchan.metrics chan in
   t.base_malformed <- Sud_obs.Metrics.get um.Uchan.um_malformed;
   t.last_dropped <- Sud_obs.Metrics.get um.Uchan.um_dropped;
-  t.base_storms <- Safe_pci.grant_storms g.g_grant;
+  t.base_storms <- Safe_pci.grant_storms (Driver_host.grant g);
   t.base_faults <- count_faults t;
   (* The channel is recreated each generation, so its conformance counts
      restart from zero; the quota (and its overflow counter) survives. *)
-  t.base_proto <- Uchan.proto_violations g.g_chan;
+  t.base_proto <- Uchan.proto_violations chan;
   t.last_overflow <- Quota.notify_overflows t.quota;
-  Process.on_exit g.g_proc (fun () ->
+  Process.on_exit (Driver_host.proc g) (fun () ->
       if t.gen = gen && t.state = Running then
         ignore (Sync.Waitq.signal t.kickq : bool))
 
@@ -193,22 +175,23 @@ let install t g =
 let health_check t =
   match t.cur with
   | None -> Some "no driver process"
-  | Some g ->
-    let um = Uchan.metrics g.g_chan in
-    if not (Process.is_alive g.g_proc) then Some "driver process died"
-    else if Uchan.is_closed g.g_chan then Some "uchan closed"
+  | Some (Live (_, g)) ->
+    let chan = Driver_host.chan g in
+    let um = Uchan.metrics chan in
+    if not (Process.is_alive (Driver_host.proc g)) then Some "driver process died"
+    else if Uchan.is_closed chan then Some "uchan closed"
     else if count_faults t > t.base_faults then Some "DMA violation (IOMMU fault)"
-    else if Safe_pci.grant_storms g.g_grant > t.base_storms then
+    else if Safe_pci.grant_storms (Driver_host.grant g) > t.base_storms then
       Some "interrupt storm escalation"
     else if Sud_obs.Metrics.get um.Uchan.um_malformed > t.base_malformed then
       Some "malformed uchan message"
-    else if Uchan.proto_violations g.g_chan > t.base_proto then
+    else if Uchan.proto_violations chan > t.base_proto then
       Some "uchan protocol violation"
     else if Sud_obs.Metrics.get um.Uchan.um_dropped - t.last_dropped >= t.policy.flood_threshold
     then Some "uchan ring flood"
     else if Quota.notify_overflows t.quota - t.last_overflow >= t.policy.overflow_threshold
     then Some "notification flood (quota overflow)"
-    else if Proxy_class.hung g.g_class then Some "upcall hung"
+    else if Proxy_class.hung (Driver_host.class_of g) then Some "upcall hung"
     else begin
       t.last_dropped <- Sud_obs.Metrics.get um.Uchan.um_dropped;
       t.last_overflow <- Quota.notify_overflows t.quota;
@@ -217,7 +200,7 @@ let health_check t =
         (* The ping is answered inline by the driver's queue-0 service
            loop, bounded by the channel's hang timeout — the heartbeat
            deadline.  Class-independent: one probe for every proxy. *)
-        match Proxy_class.heartbeat g.g_class with
+        match Proxy_class.heartbeat (Driver_host.class_of g) with
         | Ok () -> None
         | Error why -> Some why
     end
@@ -303,7 +286,7 @@ let start_generation t =
          (factory ~attempt)
      with
      | Error e -> Error e
-     | Ok s -> Ok (gen_of_net s))
+     | Ok s -> Ok (Live (Knet, s)))
   | Tgt_blk { persist; factory } ->
     (match
        Driver_host.launch t.k t.sp ~uid:t.uid ~name:t.name ~bdf:t.bdf
@@ -313,7 +296,7 @@ let start_generation t =
          (factory ~attempt)
      with
      | Error e -> Error e
-     | Ok s -> Ok (gen_of_blk s))
+     | Ok s -> Ok (Live (Kblk, s)))
 
 (* --- Warm-standby machinery -------------------------------------------- *)
 
@@ -323,7 +306,7 @@ let start_generation t =
    the persistent target objects are the fallback truth. *)
 let capture_handoff t =
   match t.cur with
-  | Some g -> Proxy_class.handoff g.g_class
+  | Some (Live (_, g)) -> Proxy_class.handoff (Driver_host.class_of g)
   | None ->
     (match t.target with
      | Tgt_net { netdev; _ } -> Proxy_net.Net_state { dev = Some netdev; up = t.was_up }
@@ -342,11 +325,11 @@ let activate_warm t w ~attempt =
          ~adopt:netdev (factory ~attempt)
      with
      | Error e -> Error e
-     | Ok s -> Ok (gen_of_net s))
+     | Ok s -> Ok (Live (Knet, s)))
   | Tgt_blk { persist; factory } ->
     (match Driver_host.activate_blk w ~adopt:persist (factory ~attempt) with
      | Error e -> Error e
-     | Ok s -> Ok (gen_of_blk s))
+     | Ok s -> Ok (Live (Kblk, s)))
 
 (* Claim the parked standby (if warm for this generation) and activate
    it.  Any failure — no standby, poisoned at the swap instant, driver
@@ -371,10 +354,10 @@ let take_warm t ~attempt =
    flag is already clear, so this is a no-op for it), resume through the
    unified lifecycle, reopen/replay the class's kernel-facing object,
    and start warming the next standby.  Returns the replayed count. *)
-let swap_in t g ~handoff_state =
-  install t g;
-  Proxy_class.adopt g.g_class handoff_state;
-  Proxy_class.resume g.g_class;
+let swap_in t (Live (_, g) as l) ~handoff_state =
+  install t l;
+  Proxy_class.adopt (Driver_host.class_of g) handoff_state;
+  Proxy_class.resume (Driver_host.class_of g);
   let replayed =
     match t.target with
     | Tgt_net { netdev; _ } ->
@@ -435,9 +418,9 @@ let recover t reason =
      around: the successor (warm or cold) adopts it after activation. *)
   let handoff_state = capture_handoff t in
   (match t.cur with
-   | Some g ->
-     Proxy_class.quiesce g.g_class;
-     Process.kill g.g_proc;            (* grant revoked via exit hooks *)
+   | Some (Live (_, g)) ->
+     Proxy_class.quiesce (Driver_host.class_of g);
+     Driver_host.kill g;            (* grant revoked via exit hooks *)
      t.cur <- None
    | None -> ());
   (match Safe_pci.reset_device t.sp t.bdf with
@@ -593,7 +576,7 @@ let upgrade t =
          Netdev.netif_tx_wake_all_queues netdev
        | Tgt_blk _ -> ());
       (match t.cur with
-       | Some g -> Proxy_class.quiesce g.g_class
+       | Some (Live (_, g)) -> Proxy_class.quiesce (Driver_host.class_of g)
        | None -> ());
       (* Drain in-flight block requests to a barrier so the handoff is
          clean; escape if the primary dies under us or the drain stalls
@@ -604,7 +587,7 @@ let upgrade t =
          let rec drain () =
            if Proxy_blk.persist_inflight persist > 0 && now t < deadline then
              match t.cur with
-             | Some g when Process.is_alive g.g_proc ->
+             | Some (Live (_, g)) when Process.is_alive (Driver_host.proc g) ->
                ignore (Fiber.sleep t.k.Kernel.eng 200_000 : Fiber.wake);
                drain ()
              | Some _ | None ->
@@ -616,8 +599,8 @@ let upgrade t =
        | Tgt_net _ -> ());
       let handoff_state = capture_handoff t in
       (match t.cur with
-       | Some g ->
-         Process.kill g.g_proc;
+       | Some (Live (_, g)) ->
+         Driver_host.kill g;
          t.cur <- None
        | None -> ());
       (match Safe_pci.reset_device t.sp t.bdf with
@@ -723,9 +706,8 @@ let make t0_target k sp ~policy ~uid ~name ~bdf ~quota g =
          vector layout) the datapath negotiated. *)
       let queues =
         match t.cur with
-        | Some { g_net = Some s; _ } -> Driver_host.queues s
-        | Some { g_blk = Some s; _ } -> Driver_host.blk_queues s
-        | Some { g_net = None; g_blk = None; _ } | None -> 1
+        | Some (Live (_, g)) -> Driver_host.queues g
+        | None -> 1
       in
       Driver_host.prefork t.k t.sp ~uid:t.uid ~name:t.name ~bdf:t.bdf
         ~hang_timeout_ns:t.policy.hang_timeout_ns ~queues ~quota:t.quota
@@ -772,7 +754,7 @@ let start k sp ?(policy = default_policy) ?(uid = 1000) ?(defensive_copy = true)
     let target =
       Tgt_net { netdev = Driver_host.netdev s; defensive = defensive_copy; factory }
     in
-    Ok (make target k sp ~policy ~uid ~name ~bdf ~quota (gen_of_net s))
+    Ok (make target k sp ~policy ~uid ~name ~bdf ~quota (Live (Knet, s)))
 
 let start_blk k sp ?(policy = default_policy) ?(uid = 1000) ?name ~bdf factory =
   let drv = factory ~attempt:0 in
@@ -788,7 +770,7 @@ let start_blk k sp ?(policy = default_policy) ?(uid = 1000) ?name ~bdf factory =
   | Error e -> Error e
   | Ok s ->
     let target = Tgt_blk { persist; factory } in
-    Ok (make target k sp ~policy ~uid ~name ~bdf ~quota (gen_of_blk s))
+    Ok (make target k sp ~policy ~uid ~name ~bdf ~quota (Live (Kblk, s)))
 
 let stop t =
   match t.state with
@@ -797,12 +779,12 @@ let stop t =
     t.state <- Stopped;
     (match t.sb with Some sb -> Standby.disable sb | None -> ());
     (match t.cur with
-     | Some g ->
+     | Some (Live (_, g)) ->
        (* Quiesce-then-kill: an administrative stop goes through the same
           lifecycle edge as a recovery, so in-flight state is retained
           (blk) or backlogged (net) rather than torn mid-request. *)
-       Proxy_class.quiesce g.g_class;
-       Process.kill g.g_proc;
+       Proxy_class.quiesce (Driver_host.class_of g);
+       Driver_host.kill g;
        t.cur <- None
      | None -> ());
     (match t.target with
@@ -825,12 +807,15 @@ let blkdev t =
 
 let bdf t = t.bdf
 let name t = t.name
-let current t = Option.bind t.cur (fun g -> g.g_net)
-let current_blk t = Option.bind t.cur (fun g -> g.g_blk)
-let proc t = Option.map (fun g -> g.g_proc) t.cur
-let chan t = Option.map (fun g -> g.g_chan) t.cur
-let grant t = Option.map (fun g -> g.g_grant) t.cur
-let class_of t = Option.map (fun g -> g.g_class) t.cur
+let current t : Driver_host.net option =
+  match t.cur with Some (Live (Knet, g)) -> Some g | Some _ | None -> None
+
+let current_blk t : Driver_host.blk option =
+  match t.cur with Some (Live (Kblk, g)) -> Some g | Some _ | None -> None
+let proc t = Option.map (fun (Live (_, g)) -> Driver_host.proc g) t.cur
+let chan t = Option.map (fun (Live (_, g)) -> Driver_host.chan g) t.cur
+let grant t = Option.map (fun (Live (_, g)) -> Driver_host.grant g) t.cur
+let class_of t = Option.map (fun (Live (_, g)) -> Driver_host.class_of g) t.cur
 let quota t = t.quota
 
 let standby_status t =

@@ -157,11 +157,11 @@ val blkdev : t -> Blkdev.t option
 val bdf : t -> Bus.bdf
 val name : t -> string
 
-val current : t -> Driver_host.started option
+val current : t -> Driver_host.net option
 (** The live generation of a net supervisor ([None] while recovering or
     for blk targets). *)
 
-val current_blk : t -> Driver_host.started_blk option
+val current_blk : t -> Driver_host.blk option
 val proc : t -> Process.t option
 val chan : t -> Uchan.t option
 val grant : t -> Safe_pci.grant option

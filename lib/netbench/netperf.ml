@@ -16,7 +16,7 @@ type rig = {
   dev_dut : Netdev.t;
   dev_peer : Netdev.t;
   nic_dut : E1000_dev.t;
-  started : Driver_host.started option;
+  started : Driver_host.net option;
 }
 
 let msg_size = 64

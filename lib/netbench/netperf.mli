@@ -29,7 +29,7 @@ type rig = {
   dev_dut : Netdev.t;
   dev_peer : Netdev.t;
   nic_dut : E1000_dev.t;
-  started : Driver_host.started option;   (** present in SUD mode *)
+  started : Driver_host.net option;   (** present in SUD mode *)
 }
 
 val make_rig :

@@ -57,3 +57,11 @@ let up_native ?name k bdf =
   let dev = ok_or_fail "native attach" (Native_net.attach ?name k E1000.driver bdf) in
   ok_or_fail "ifconfig up" (Netstack.ifconfig_up k.Kernel.net dev);
   dev
+
+(* The administrator's restart: kill -9 the driver, let teardown settle
+   at the current instant, and launch a fresh generation for the same
+   device at the next epoch. *)
+let relaunch k sp s ~bdf ~name drv =
+  Driver_host.kill s;
+  ignore (Fiber.sleep k.Kernel.eng 1_000 : Fiber.wake);
+  Driver_host.launch k sp (Driver_host.net ()) ~bdf ~name ~epoch:(Driver_host.epoch s + 1) drv

@@ -92,13 +92,13 @@ let test_wifi () =
     (fun k bdf ->
        let sp = Safe_pci.init k in
        let s = ok_or_fail "start iwl" (Driver_host.launch k sp Driver_host.wifi ~bdf Iwl.driver) in
-       let inst = Proxy_wifi.instance (Driver_host.wifi_proxy s) in
+       let inst = Proxy_wifi.instance (Driver_host.proxy s) in
        Alcotest.(check string) "class" "wifi" (Proxy_class.class_name inst);
        exercise "wifi" inst;
        (* Control path still serves: the mirrored rate table answers. *)
        Alcotest.(check (list int)) "mirror alive after cycle"
          (Array.to_list Wifi_dev.supported_rates)
-         (Proxy_wifi.bitrates (Driver_host.wifi_proxy s)))
+         (Proxy_wifi.bitrates (Driver_host.proxy s)))
 
 let test_audio () =
   run_in_kernel
@@ -108,10 +108,10 @@ let test_audio () =
     (fun k bdf ->
        let sp = Safe_pci.init k in
        let s = ok_or_fail "start hda" (Driver_host.launch k sp Driver_host.audio ~bdf Hda.driver) in
-       let inst = Proxy_audio.instance (Driver_host.audio_proxy s) in
+       let inst = Proxy_audio.instance (Driver_host.proxy s) in
        Alcotest.(check string) "class" "audio" (Proxy_class.class_name inst);
        exercise "audio" inst;
-       let proxy = Driver_host.audio_proxy s in
+       let proxy = Driver_host.proxy s in
        ok_or_fail "set volume after cycle" (Proxy_audio.set_volume proxy 17);
        Alcotest.(check int) "volume round trip after cycle" 17
          (ok_or_fail "get volume" (Proxy_audio.get_volume proxy)))
@@ -131,7 +131,7 @@ let test_usb () =
                  ~bind_keyboard:Ehci.poll_keyboard)
               Ehci.driver)
        in
-       let proxy = Driver_host.usb_proxy s in
+       let proxy = Driver_host.proxy s in
        (match Proxy_usb.wait_block proxy ~timeout_ns:2_000_000_000 with
         | Some _ -> ()
         | None -> Alcotest.fail "no storage registered");
@@ -152,12 +152,12 @@ let setup_nvme (k : Kernel.t) =
 let test_blk () =
   run_in_kernel setup_nvme (fun k (nvme, bdf, sp) ->
       let s = ok_or_fail "start_blk" (Driver_host.launch k sp (Driver_host.blk ()) ~bdf Nvme.driver) in
-      let inst = Driver_host.blk_class s in
+      let inst = Driver_host.class_of s in
       Alcotest.(check string) "class" "blk" (Proxy_class.class_name inst);
       exercise "blk" inst;
       (* Quiesce retains; resume replays: a FUA write issued while
          quiesced must become durable once resumed. *)
-      let bd = Driver_host.blk_blkdev s in
+      let bd = Driver_host.blkdev s in
       let data = Bytes.make Blkdev.page_size 'Q' in
       Proxy_class.quiesce inst;
       let done_ = ref None in
@@ -184,7 +184,7 @@ let test_blk () =
             (String.make Blkdev.sector_size 'Q') (Bytes.to_string b)
         | None -> Alcotest.failf "sector %d of the replayed write never persisted" sec
       done;
-      Driver_host.kill_blk s)
+      Driver_host.kill s)
 
 (* Randomized crash-consistency: drive the supervised blk stack through
    an arbitrary schedule of page writes, fsyncs and driver crashes; at

@@ -257,7 +257,9 @@ let test_driver_restart_host () =
       in
       ok_or_fail "up" (Netstack.ifconfig_up k.Kernel.net (Driver_host.netdev s1));
       let pid1 = Process.pid (Driver_host.proc s1) in
-      let s2 = ok_or_fail "restart" (Driver_host.restart k sp s1 E1000.driver) in
+      let s2 =
+        ok_or_fail "restart" (relaunch k sp s1 ~bdf:duo.bdf_a ~name:"eth0" E1000.driver)
+      in
       Alcotest.(check bool) "new process" true (Process.pid (Driver_host.proc s2) <> pid1);
       Alcotest.(check bool) "old one dead" false (Process.is_alive (Driver_host.proc s1));
       ok_or_fail "up again" (Netstack.ifconfig_up k.Kernel.net (Driver_host.netdev s2));
@@ -311,27 +313,31 @@ let test_delegation () =
       Alcotest.(check int) "both netdevs registered" 2
         (List.length (Netstack.netdevs k.Kernel.net)))
 
-let test_shadow_recovery () =
+let test_supervised_recovery () =
   run_in_kernel setup_duo (fun k duo ->
       let sp = Safe_pci.init k in
-      let s =
-        ok_or_fail "start" (Driver_host.launch k sp (Driver_host.net ()) ~bdf:duo.bdf_a ~name:"eth0" E1000.driver)
+      let sv =
+        ok_or_fail "supervise"
+          (Supervisor.start k sp ~name:"eth0" ~bdf:duo.bdf_a (fun ~attempt:_ -> E1000.driver))
       in
-      ok_or_fail "up" (Netstack.ifconfig_up k.Kernel.net (Driver_host.netdev s));
-      let shadow = Shadow.watch k sp ~poll_ms:5 s E1000.driver in
+      ok_or_fail "up" (Netstack.ifconfig_up k.Kernel.net (Supervisor.netdev sv));
       (* The driver process crashes. *)
       ignore (Fiber.sleep k.Kernel.eng 20_000_000 : Fiber.wake);
-      Driver_host.kill s;
+      Option.iter Process.kill (Supervisor.proc sv);
       ignore (Fiber.sleep k.Kernel.eng 50_000_000 : Fiber.wake);
-      Alcotest.(check int) "one restart" 1 (Shadow.restarts shadow);
-      let fresh = Shadow.current shadow in
+      Alcotest.(check int) "one restart" 1 (Supervisor.stats sv).Supervisor.st_restarts;
+      let fresh =
+        match Supervisor.current sv with
+        | Some g -> g
+        | None -> Alcotest.fail "no live generation after recovery"
+      in
       Alcotest.(check bool) "fresh process alive" true
         (Process.is_alive (Driver_host.proc fresh));
       Alcotest.(check bool) "interface came back up" true
         (Netdev.is_up (Driver_host.netdev fresh));
       (* Traffic flows through the recovered driver. *)
       let dev_b = up_native ~name:"eth1" k duo.bdf_b in
-      let sa = Netstack.udp_bind k.Kernel.net (Shadow.netdev shadow) ~port:1 in
+      let sa = Netstack.udp_bind k.Kernel.net (Supervisor.netdev sv) ~port:1 in
       let sb = Netstack.udp_bind k.Kernel.net dev_b ~port:2 in
       (match
          Netstack.udp_sendto k.Kernel.net sa ~dst:(Netdev.mac dev_b) ~dst_port:2
@@ -342,7 +348,7 @@ let test_shadow_recovery () =
       (match Netstack.udp_recv k.Kernel.net sb with
        | Some (d, _) -> Alcotest.(check string) "payload" "recovered" (Bytes.to_string d)
        | None -> Alcotest.fail "no traffic after recovery");
-      Shadow.stop shadow)
+      Supervisor.stop sv)
 
 let test_xmit_from_atomic_context () =
   (* §3.1.1: packet transmission is an asynchronous upcall precisely so the
@@ -450,5 +456,5 @@ let suite =
     Alcotest.test_case "sysfs: id matching" `Quick test_sysfs_matching;
     Alcotest.test_case "safe_pci: device files (Figure 6)" `Quick test_device_files_listed;
     Alcotest.test_case "delegation: one process per device" `Quick test_delegation;
-    Alcotest.test_case "shadow: automatic crash recovery" `Quick test_shadow_recovery;
+    Alcotest.test_case "supervisor: automatic crash recovery" `Quick test_supervised_recovery;
     Alcotest.test_case "proxy: xmit from atomic context" `Quick test_xmit_from_atomic_context ]

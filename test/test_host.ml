@@ -95,6 +95,80 @@ let test_warm_handover_pin () =
          in
          Proxy_class.resume (Driver_host.class_of s2)))
 
+(* The rings step is shared by every class, so a wifi launch honours the
+   quota and the epoch exactly like net and blk. *)
+let test_wifi_quota_epoch () =
+  run_in_kernel wifi (fun k _ ->
+      let sp = Safe_pci.init k in
+      let q = Quota.create k.Kernel.eng ~name:"iwl" () in
+      let s =
+        ok_or_fail "launch wifi"
+          (Driver_host.launch k sp ~quota:q ~epoch:3 Driver_host.wifi Iwl.driver)
+      in
+      Alcotest.(check int) "ring bytes charged"
+        (Quota.ring_bytes ~slots:256 ~queues:(Driver_host.queues s))
+        (Quota.uchan_bytes q);
+      Alcotest.(check int) "grant charged" 1 (Quota.grants q);
+      Alcotest.(check int) "generation epoch" 3 (Driver_host.epoch s);
+      Alcotest.(check int) "chan stamps epoch 3" 3 (Uchan.epoch (Driver_host.chan s));
+      Driver_host.kill s;
+      Alcotest.(check int) "ring bytes released" 0 (Quota.uchan_bytes q))
+
+(* Cold and warm generations leave the same trace: every death of a
+   live generation closes with a driver/exit span, and every
+   driver/start span names its class. *)
+let test_traced_warm_failover () =
+  let module T = Sud_obs.Trace in
+  T.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+        T.set_enabled false;
+        T.reset ())
+    (fun () ->
+       T.reset ();
+       let scenario = "traced warm failover" in
+       let w = Fault_inject.make_world () in
+       let eng = w.Fault_inject.eng in
+       Fault_inject.in_world ~scenario ~max_ms:1_000 w.Fault_inject.k (fun () ->
+           let sv, _, _ =
+             Fault_inject.supervise ~scenario ~policy:(Fault_inject.warm_policy ~max_restarts:10) w
+           in
+           let deaths = ref 0 in
+           Supervisor.on_event sv (function
+               | Supervisor.Driver_killed -> incr deaths
+               | _ -> ());
+           let rec wait_ready n =
+             if Supervisor.standby_status sv <> Standby.Ready then
+               if n = 0 then Alcotest.fail "standby never became Ready"
+               else begin
+                 ignore (Fiber.sleep eng 1_000_000 : Fiber.wake);
+                 wait_ready (n - 1)
+               end
+           in
+           for _ = 1 to 2 do
+             wait_ready 200;
+             Alcotest.(check bool) "crash applied" true
+               (Fault_inject.inject ~eng ~sv Fault_inject.Crash);
+             ignore (Fiber.sleep eng 20_000_000 : Fiber.wake)
+           done;
+           Alcotest.(check int) "two deaths" 2 !deaths;
+           Alcotest.(check int) "both recoveries warm" 2 (Supervisor.warm_swaps sv);
+           let driver name = List.filter (fun s -> s.T.sp_cat = "driver" && s.T.sp_name = name) in
+           let spans = T.spans () in
+           Alcotest.(check int) "one exit span per death" !deaths
+             (List.length (driver "exit" spans));
+           let starts = driver "start" spans in
+           Alcotest.(check bool) "a start span" true (starts <> []);
+           List.iter
+             (fun s ->
+                Alcotest.(check bool) "start span carries class" true
+                  (List.mem_assoc "class" s.T.sp_attrs))
+             starts;
+           Supervisor.stop sv))
+
 let suite =
   [ Alcotest.test_case "launch pins: one per class" `Quick test_launch_pins;
-    Alcotest.test_case "warm handover pin" `Quick test_warm_handover_pin ]
+    Alcotest.test_case "warm handover pin" `Quick test_warm_handover_pin;
+    Alcotest.test_case "wifi launch honours quota and epoch" `Quick test_wifi_quota_epoch;
+    Alcotest.test_case "traced warm failover: exit span per death" `Quick
+      test_traced_warm_failover ]

@@ -243,6 +243,53 @@ let test_mid_batch_crash_tail_replayed () =
       Alcotest.(check bool) "tail replayed" true (bl.Netdev.bl_replayed >= 4);
       Supervisor.stop sv)
 
+(* The administrator's interface state survives recovery, cold or warm:
+   a netdev that was down when its driver died stays down, one that was
+   up is reopened. *)
+let test_updown_replay () =
+  List.iter
+    (fun (what, policy, swaps) ->
+       let w = make_world () in
+       in_world w (fun () ->
+           let sv = start_supervised ~policy w in
+           let kill () =
+             match Supervisor.proc sv with
+             | Some p -> Process.kill p
+             | None -> Alcotest.fail "no proc"
+           in
+           let live () =
+             match Supervisor.current sv with
+             | Some g -> g
+             | None -> Alcotest.fail "no live generation"
+           in
+           (* Generation 1 dies with the interface DOWN: the supervisor
+              must restart the driver but leave the interface down. *)
+           settle w 20;
+           kill ();
+           settle w 50;
+           Alcotest.(check int) (what ^ ": first restart") 1
+             (Supervisor.stats sv).Supervisor.st_restarts;
+           Alcotest.(check bool) (what ^ ": fresh process alive") true
+             (Process.is_alive (Driver_host.proc (live ())));
+           Alcotest.(check bool) (what ^ ": interface stayed down") false
+             (Netdev.is_up (Driver_host.netdev (live ())));
+           (* The administrator brings it up; generation 2 dies: the
+              supervisor must reopen it. *)
+           (match Netstack.ifconfig_up w.k.Kernel.net (Supervisor.netdev sv) with
+            | Ok () -> ()
+            | Error e -> Alcotest.fail ("ifconfig up: " ^ e));
+           settle w 20;
+           kill ();
+           settle w 50;
+           Alcotest.(check int) (what ^ ": second restart") 2
+             (Supervisor.stats sv).Supervisor.st_restarts;
+           Alcotest.(check bool) (what ^ ": interface replayed up") true
+             (Netdev.is_up (Driver_host.netdev (live ())));
+           Alcotest.(check int) (what ^ ": warm swaps") swaps (Supervisor.warm_swaps sv);
+           Supervisor.stop sv))
+    [ ("cold", Fault_inject.soak_policy ~max_restarts:10, 0);
+      ("warm", Fault_inject.warm_policy ~max_restarts:10, 2) ]
+
 let test_hang_heartbeat () =
   let s = Fault_inject.measure_recovery Fault_inject.Hang in
   (* Exact, not bounded: the heartbeat deadline (10 ms) plus the tick
@@ -400,6 +447,8 @@ let suite =
   [ Alcotest.test_case "supervised driver starts running" `Quick test_starts_running;
     Alcotest.test_case "kill -9 → autonomous restart" `Quick test_kill_auto_restart;
     Alcotest.test_case "outage backlog parked and replayed" `Quick test_backlog_replayed;
+    Alcotest.test_case "up/down state survives recovery, cold and warm" `Quick
+      test_updown_replay;
     Alcotest.test_case "corrupt batch frame: contained, no restart" `Quick
       test_batch_corrupt_no_restart;
     Alcotest.test_case "mid-batch crash: un-acked tail replayed" `Quick
