@@ -65,3 +65,9 @@ let relaunch k sp s ~bdf ~name drv =
   Driver_host.kill s;
   ignore (Fiber.sleep k.Kernel.eng 1_000 : Fiber.wake);
   Driver_host.launch k sp (Driver_host.net ()) ~bdf ~name ~epoch:(Driver_host.epoch s + 1) drv
+
+(* A supervised net device's live generation. *)
+let live_gen sv =
+  match Supervisor.current sv with
+  | Some g -> g
+  | None -> Alcotest.fail "no live driver generation"

@@ -326,11 +326,7 @@ let test_supervised_recovery () =
       Option.iter Process.kill (Supervisor.proc sv);
       ignore (Fiber.sleep k.Kernel.eng 50_000_000 : Fiber.wake);
       Alcotest.(check int) "one restart" 1 (Supervisor.stats sv).Supervisor.st_restarts;
-      let fresh =
-        match Supervisor.current sv with
-        | Some g -> g
-        | None -> Alcotest.fail "no live generation after recovery"
-      in
+      let fresh = live_gen sv in
       Alcotest.(check bool) "fresh process alive" true
         (Process.is_alive (Driver_host.proc fresh));
       Alcotest.(check bool) "interface came back up" true

@@ -330,11 +330,7 @@ let supervised_backlog_order_test =
            ignore (Fiber.sleep k.Kernel.eng 50_000_000 : Fiber.wake);
            if (Supervisor.stats sv).Supervisor.st_restarts < 1 then
              Alcotest.fail "supervisor did not recover";
-           let fresh =
-             match Supervisor.current sv with
-             | Some g -> g
-             | None -> Alcotest.fail "no live generation after recovery"
-           in
+           let fresh = live_gen sv in
            if not (Netdev.is_up (Driver_host.netdev fresh)) then
              Alcotest.fail "interface not replayed up";
            ignore (Fiber.sleep k.Kernel.eng 100_000_000 : Fiber.wake);

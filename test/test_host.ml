@@ -137,16 +137,10 @@ let test_traced_warm_failover () =
            Supervisor.on_event sv (function
                | Supervisor.Driver_killed -> incr deaths
                | _ -> ());
-           let rec wait_ready n =
-             if Supervisor.standby_status sv <> Standby.Ready then
-               if n = 0 then Alcotest.fail "standby never became Ready"
-               else begin
-                 ignore (Fiber.sleep eng 1_000_000 : Fiber.wake);
-                 wait_ready (n - 1)
-               end
-           in
            for _ = 1 to 2 do
-             wait_ready 200;
+             Alcotest.(check bool) "standby ready" true
+               (Fault_inject.poll eng ~every_ns:1_000_000 ~budget:200 (fun () ->
+                    Supervisor.standby_status sv = Standby.Ready));
              Alcotest.(check bool) "crash applied" true
                (Fault_inject.inject ~eng ~sv Fault_inject.Crash);
              ignore (Fiber.sleep eng 20_000_000 : Fiber.wake)

@@ -257,11 +257,6 @@ let test_updown_replay () =
              | Some p -> Process.kill p
              | None -> Alcotest.fail "no proc"
            in
-           let live () =
-             match Supervisor.current sv with
-             | Some g -> g
-             | None -> Alcotest.fail "no live generation"
-           in
            (* Generation 1 dies with the interface DOWN: the supervisor
               must restart the driver but leave the interface down. *)
            settle w 20;
@@ -270,9 +265,9 @@ let test_updown_replay () =
            Alcotest.(check int) (what ^ ": first restart") 1
              (Supervisor.stats sv).Supervisor.st_restarts;
            Alcotest.(check bool) (what ^ ": fresh process alive") true
-             (Process.is_alive (Driver_host.proc (live ())));
+             (Process.is_alive (Driver_host.proc (Helpers.live_gen sv)));
            Alcotest.(check bool) (what ^ ": interface stayed down") false
-             (Netdev.is_up (Driver_host.netdev (live ())));
+             (Netdev.is_up (Driver_host.netdev (Helpers.live_gen sv)));
            (* The administrator brings it up; generation 2 dies: the
               supervisor must reopen it. *)
            (match Netstack.ifconfig_up w.k.Kernel.net (Supervisor.netdev sv) with
@@ -284,7 +279,7 @@ let test_updown_replay () =
            Alcotest.(check int) (what ^ ": second restart") 2
              (Supervisor.stats sv).Supervisor.st_restarts;
            Alcotest.(check bool) (what ^ ": interface replayed up") true
-             (Netdev.is_up (Driver_host.netdev (live ())));
+             (Netdev.is_up (Driver_host.netdev (Helpers.live_gen sv)));
            Alcotest.(check int) (what ^ ": warm swaps") swaps (Supervisor.warm_swaps sv);
            Supervisor.stop sv))
     [ ("cold", Fault_inject.soak_policy ~max_restarts:10, 0);
