@@ -1,32 +1,25 @@
 (* The full evaluation harness: regenerates every table and figure from the
    paper's evaluation (Figures 5-9 and the §5.2 security results), runs the
    §6 ablations, and finishes with Bechamel micro-benchmarks of the hot
-   primitives.
+   primitives.  The beyond-paper modes each run one gated harness.
 
-     dune exec bench/main.exe                    # everything
-     dune exec bench/main.exe -- quick           # skip the slow netperf sweep
-     dune exec bench/main.exe -- --json          # also write BENCH_3.json
-     dune exec bench/main.exe -- quick --json    # both (the CI smoke target)
-     dune exec bench/main.exe -- soak            # supervision soak only (make soak)
+     dune exec bench/main.exe                  # the default suite
+     dune exec bench/main.exe -- smoke         # the same without the Figure-8 sweep
+     dune exec bench/main.exe -- MODE [smoke]  # one mode (see [modes] below)
 
-   --json writes a machine-readable baseline (micro-bench ns/op, the
-   Figure 8 rows when the sweep ran, per-fault-class supervision recovery
-   latencies, the end-of-run Sud_obs metrics snapshot, and the
-   disabled-tracer overhead guard vs BENCH_2.json) so future PRs can diff
-   hot-path performance and recovery behaviour against this one; see
-   DESIGN.md "The fast path", "Driver supervision" and "Observability".
+   Every mode prints its own report and returns measurement rows and gates
+   (Bench_schema, schema sud-bench/10).  The runner then prints one line
+   per gate, writes bench/out/MODE.json on full runs (never on smoke runs)
+   and exits 0 when every gate passes, 1 when one fails and 2 on a bad
+   command line.  Gates compare against the read-only bench/baseline.json;
+   a missing baseline fails its gate.
 
    The soak run enables tracing (64k-span ring), exports
    traces/soak_trace.jsonl, and fails unless the trace contains a complete
    uchan rpc -> iommu fault -> supervisor detect -> kill -> restart
    causal chain. *)
 
-(* Every baseline is emitted and re-read through the versioned
-   Bench_schema document type — no ad-hoc printf JSON, no substring
-   scrapers. *)
 module J = Bench_schema
-
-let ( >>= ) = Option.bind
 
 (* One root seed for every seeded bench harness: each entry point derives
    its sub-seed by tag (satellite of sud-check), so a red run is
@@ -34,17 +27,37 @@ let ( >>= ) = Option.bind
 let bench_root = Fault_inject.default_root
 let bseed tag = Rng.derive ~root:bench_root tag
 
-(* Per-fault-class recovery samples render the same way in BENCH_3 and
-   BENCH_7. *)
-let recovery_rows recovery =
-  J.List
-    (List.map
-       (fun s ->
-          J.Obj
-            [ ("fault", J.Str s.Fault_inject.rs_fault);
-              ("detect_ns", J.Int s.Fault_inject.rs_detect_ns);
-              ("outage_ns", J.Int s.Fault_inject.rs_outage_ns) ])
-       recovery)
+let fi = float_of_int
+let flag b = if b then 1. else 0.
+
+(* Integer counters as rows named [prefix.name]. *)
+let ints ?labels ?(unit = "count") prefix kvs =
+  List.map (fun (k, v) -> J.row ?labels (prefix ^ "." ^ k) unit (fi v)) kvs
+
+(* Per-fault-class recovery samples, as the soak, blkperf and the default
+   suite measure them. *)
+let recovery_rows ?(metric = "recovery") samples =
+  List.concat_map
+    (fun s ->
+       ints ~labels:[ ("fault", s.Fault_inject.rs_fault) ] ~unit:"ns" metric
+         [ ("detect_ns", s.Fault_inject.rs_detect_ns);
+           ("outage_ns", s.Fault_inject.rs_outage_ns) ])
+    samples
+
+let verdict (g : J.gate) = if g.pass then "ok" else "FAIL"
+let all_pass = List.for_all (fun (g : J.gate) -> g.pass)
+
+(* What every soak checks: no containment invariant broke, and the
+   supervisor ended Running. *)
+let print_violations ~held = function
+  | [] -> print_endline held
+  | vs ->
+    Printf.printf "INVARIANT VIOLATIONS (%d):\n" (List.length vs);
+    List.iter (fun v -> print_endline ("  " ^ v)) vs
+
+let soak_gates violations state =
+  [ J.gate "invariant_violations" (fi (List.length violations)) Eq 0.;
+    J.gate "supervisor_running" (flag (state = Supervisor.Running)) Eq 1. ]
 
 let banner title =
   Printf.printf "\n%s\n%s\n%s\n" (String.make 78 '=') title (String.make 78 '=')
@@ -341,46 +354,60 @@ let microbench_cases () =
         Phys_mem.write mem ~addr:0x2000 payload;
         ignore (Phys_mem.read mem ~addr:0x2000 ~len:1448 : bytes) ) ]
 
-(* Run the Bechamel pipeline; returns (key, name, ns/op) with ns/op = nan
-   when no estimate was produced. *)
+(* One Bechamel OLS estimate of [fn], in ns/op; nan when none was
+   produced. *)
+let bechamel_ns ~quota name fn =
+  let open Bechamel in
+  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None () in
+  let instances = Toolkit.Instance.[ monotonic_clock ] in
+  let results = Benchmark.all cfg instances (Test.make ~name (Staged.stage fn)) in
+  let analysis =
+    Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| "run" |])
+      Toolkit.Instance.monotonic_clock results
+  in
+  let est = ref nan in
+  Hashtbl.iter
+    (fun _ ols ->
+       match Analyze.OLS.estimates ols with
+       | Some [ e ] -> est := e
+       | Some _ | None -> ())
+    analysis;
+  !est
+
+(* Every case once; returns (key, name, ns/op). *)
 let microbenches () =
   banner "Micro-benchmarks (Bechamel): SUD's hot primitives";
-  let open Bechamel in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.4) ~kde:None () in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
   List.map
     (fun (key, name, fn) ->
-       let test = Test.make ~name (Staged.stage fn) in
-       let results = Benchmark.all cfg instances test in
-       let analysis =
-         Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| "run" |])
-           Toolkit.Instance.monotonic_clock results
-       in
-       let est = ref nan in
-       Hashtbl.iter
-         (fun _ ols ->
-            match Analyze.OLS.estimates ols with
-            | Some [ e ] -> est := e
-            | Some _ | None -> ())
-         analysis;
-       if Float.is_nan !est then Printf.printf "%-42s (no estimate)\n" name
-       else Printf.printf "%-42s %10.1f ns/op\n" name !est;
-       (key, name, !est))
+       let est = bechamel_ns ~quota:0.4 name fn in
+       if Float.is_nan est then Printf.printf "%-42s (no estimate)\n" name
+       else Printf.printf "%-42s %10.1f ns/op\n" name est;
+       (key, name, est))
     (microbench_cases ())
+
+(* What a mode hands the runner: its measurements and the gates judged on
+   them. *)
+type result = { rows : J.row list; gates : J.gate list }
 
 (* ---- supervision: per-fault-class recovery latency ---- *)
 
-let recovery_latencies () =
-  banner "Driver supervision: detection and recovery latency per fault class";
-  Printf.printf "%-18s %14s %14s\n" "Fault" "detect (us)" "outage (us)";
-  print_endline (String.make 48 '-');
+(* Measure each fault class once, printing one table row per class with
+   the fault names padded to [width]. *)
+let recovery_table ~width measure faults =
+  Printf.printf "%-*s %14s %14s\n" width "Fault" "detect (us)" "outage (us)";
+  print_endline (String.make (width + 30) '-');
   List.map
     (fun fault ->
-       let s = Fault_inject.measure_recovery fault in
-       Printf.printf "%-18s %14d %14d\n" s.Fault_inject.rs_fault
+       let s = measure fault in
+       Printf.printf "%-*s %14d %14d\n" width s.Fault_inject.rs_fault
          (s.Fault_inject.rs_detect_ns / 1_000)
          (s.Fault_inject.rs_outage_ns / 1_000);
        s)
+    faults
+
+let recovery_latencies () =
+  banner "Driver supervision: detection and recovery latency per fault class";
+  recovery_table ~width:18 Fault_inject.measure_recovery
     (* Corrupt_batch is contained without a restart — there is no
        recovery latency to measure for it. *)
     (List.filter Fault_inject.lethal Fault_inject.all_faults)
@@ -394,6 +421,7 @@ let soak_chain =
     ("sup", "restart") ]
 
 let run_soak () =
+  let recovery = recovery_latencies () in
   banner
     (Printf.sprintf "Supervision soak: seeded fault storm (seed 0x%LX)" soak_seed);
   (* Trace the whole storm: the export must show at least one injected
@@ -421,11 +449,7 @@ let run_soak () =
   Printf.printf "worst outage: %d us\n" (r.Fault_inject.sr_max_outage_ns / 1_000);
   Printf.printf "malformed slots dropped across all generations: %d\n"
     r.Fault_inject.sr_malformed;
-  (match r.Fault_inject.sr_violations with
-   | [] -> print_endline "invariants: all held"
-   | vs ->
-     Printf.printf "INVARIANT VIOLATIONS (%d):\n" (List.length vs);
-     List.iter (fun v -> print_endline ("  " ^ v)) vs);
+  print_violations ~held:"invariants: all held" r.Fault_inject.sr_violations;
   Sud_obs.Trace.set_enabled false;
   if not (Sys.file_exists "traces") then Sys.mkdir "traces" 0o755;
   let trace_path = "traces/soak_trace.jsonl" in
@@ -445,9 +469,10 @@ let run_soak () =
     !n
   in
   let chain_ok = Sud_obs.Trace.chain_exists spans soak_chain in
+  let emitted = Sud_obs.Trace.emitted () and retained = Sud_obs.Trace.retained () in
   Printf.printf
     "trace: %d spans emitted, %d retained, %d exported to %s (%d parse back)\n"
-    (Sud_obs.Trace.emitted ()) (Sud_obs.Trace.retained ()) n_spans trace_path parsed;
+    emitted retained n_spans trace_path parsed;
   Printf.printf "causal chain rpc -> fault -> detect -> kill -> restart: %s\n"
     (if chain_ok then "found" else "MISSING");
   let qr = Fault_inject.crash_loop ~max_restarts:3 () in
@@ -455,24 +480,37 @@ let run_soak () =
     "crash loop: %d restarts then quarantined=%b, netdev removed=%b, sud_state=%S\n"
     qr.Fault_inject.qr_restarts qr.Fault_inject.qr_quarantined
     qr.Fault_inject.qr_netdev_removed qr.Fault_inject.qr_sysfs_state;
-  let ok =
-    r.Fault_inject.sr_violations = []
-    && r.Fault_inject.sr_state = Supervisor.Running
-    && r.Fault_inject.sr_detections > 0
-    && qr.Fault_inject.qr_quarantined && qr.Fault_inject.qr_netdev_removed
-    && chain_ok
-    && parsed = n_spans
+  let rows =
+    let open Fault_inject in
+    ints "soak"
+      [ ("faults_planned", r.sr_planned); ("faults_applied", r.sr_applied);
+        ("faults_skipped", r.sr_skipped); ("detections", r.sr_detections);
+        ("restarts", r.sr_restarts); ("deaths", r.sr_deaths); ("offered", r.sr_offered);
+        ("sent", r.sr_sent); ("dropped", r.sr_dropped); ("wire_frames", r.sr_wire_frames);
+        ("backlog_offered", bl.Netdev.bl_offered); ("backlog_queued", bl.Netdev.bl_queued);
+        ("backlog_dropped", bl.Netdev.bl_dropped); ("backlog_replayed", bl.Netdev.bl_replayed);
+        ("malformed", r.sr_malformed); ("spans_emitted", emitted); ("spans_retained", retained);
+        ("spans_exported", n_spans); ("crash_loop_restarts", qr.qr_restarts) ]
+    @ ints ~unit:"ns" "soak" [ ("max_outage_ns", r.sr_max_outage_ns) ]
+    @ List.map
+        (fun (cls, n) -> J.row ~labels:[ ("class", cls) ] "soak.faults_by_class" "count" (fi n))
+        r.sr_by_class
   in
-  print_endline
-    (if ok then "\nSOAK PASSED"
-     else Printf.sprintf "\nSOAK FAILED (root seed 0x%LX)" bench_root);
-  (r, ok)
+  { rows = recovery_rows recovery @ rows;
+    gates =
+      soak_gates r.Fault_inject.sr_violations r.Fault_inject.sr_state
+      @ [ J.gate "detections" (fi r.Fault_inject.sr_detections) Gt 0.;
+          J.gate "crash_loop_quarantined" (flag qr.Fault_inject.qr_quarantined) Eq 1.;
+          J.gate "crash_loop_netdev_removed" (flag qr.Fault_inject.qr_netdev_removed) Eq 1.;
+          J.gate "causal_chain_found" (flag chain_ok) Eq 1.;
+          J.gate "spans_parsed_back" (fi parsed) Eq (fi n_spans) ] }
 
 (* ---- sud-blk crash-consistency soak (make blk-smoke / make soak) ---- *)
 
 let blk_soak_seed = bseed "bench:blk-soak"
 
-let run_blk_soak ?(n_faults = 200) () =
+let run_blk_soak ~smoke =
+  let n_faults = if smoke then 40 else 200 in
   banner
     (Printf.sprintf "sud-blk soak: %d storage faults under synchronous I/O (seed 0x%LX)"
        n_faults blk_soak_seed);
@@ -494,24 +532,33 @@ let run_blk_soak ?(n_faults = 200) () =
     r.Fault_inject.bsr_by_reason;
   Printf.printf "after final fsync: retained %d, in flight %d\n"
     r.Fault_inject.bsr_retained_end r.Fault_inject.bsr_inflight_end;
-  (match r.Fault_inject.bsr_violations with
-   | [] -> print_endline "crash-consistency invariant: held at every check"
-   | vs ->
-     Printf.printf "INVARIANT VIOLATIONS (%d):\n" (List.length vs);
-     List.iter (fun v -> print_endline ("  " ^ v)) vs);
-  let ok =
-    r.Fault_inject.bsr_violations = []
-    && r.Fault_inject.bsr_state = Supervisor.Running
-    && r.Fault_inject.bsr_applied >= n_faults
-    && r.Fault_inject.bsr_detections > 0
-    && r.Fault_inject.bsr_retained_end = 0
-    && r.Fault_inject.bsr_inflight_end = 0
-    && r.Fault_inject.bsr_io_errors = 0
-  in
-  print_endline
-    (if ok then "\nBLK SOAK PASSED"
-     else Printf.sprintf "\nBLK SOAK FAILED (root seed 0x%LX)" bench_root);
-  (r, ok)
+  print_violations ~held:"crash-consistency invariant: held at every check"
+    r.Fault_inject.bsr_violations;
+  { rows =
+      (let open Fault_inject in
+       ints "blk_soak"
+         [ ("faults_planned", r.bsr_planned); ("faults_applied", r.bsr_applied);
+           ("faults_skipped", r.bsr_skipped); ("detections", r.bsr_detections);
+           ("restarts", r.bsr_restarts); ("deaths", r.bsr_deaths); ("writes", r.bsr_writes);
+           ("reads", r.bsr_reads); ("fsyncs", r.bsr_fsyncs); ("verifies", r.bsr_verifies);
+           ("io_errors", r.bsr_io_errors); ("retained_end", r.bsr_retained_end);
+           ("inflight_end", r.bsr_inflight_end) ]
+       @ ints ~unit:"ns" "blk_soak" [ ("max_outage_ns", r.bsr_max_outage_ns) ])
+      @ List.map
+          (fun (cls, n) ->
+             J.row ~labels:[ ("class", cls) ] "blk_soak.faults_by_class" "count" (fi n))
+          r.Fault_inject.bsr_by_class
+      @ List.map
+          (fun (reason, n) ->
+             J.row ~labels:[ ("reason", reason) ] "blk_soak.detections_by_reason" "count" (fi n))
+          r.Fault_inject.bsr_by_reason;
+    gates =
+      soak_gates r.Fault_inject.bsr_violations r.Fault_inject.bsr_state
+      @ [ J.gate "faults_applied" (fi r.Fault_inject.bsr_applied) Ge (fi n_faults);
+          J.gate "detections" (fi r.Fault_inject.bsr_detections) Gt 0.;
+          J.gate "retained_after_fsync" (fi r.Fault_inject.bsr_retained_end) Eq 0.;
+          J.gate "inflight_after_fsync" (fi r.Fault_inject.bsr_inflight_end) Eq 0.;
+          J.gate "io_errors" (fi r.Fault_inject.bsr_io_errors) Eq 0. ] }
 
 (* ---- blkperf: the sud-blk datapath sweep (make bench-blk) ---- *)
 
@@ -522,8 +569,7 @@ let run_blk_soak ?(n_faults = 200) () =
    completion round trip; reads land outside the written set so the
    cache cannot answer them.  Gates: depth must actually buy
    parallelism (qd16 over qd1 at the mixed point), and every storage
-   fault class must recover inside the soak's outage bound.  Writes
-   BENCH_7.json. *)
+   fault class must recover inside the soak's outage bound. *)
 
 let blkperf_depths = [ 1; 4; 16 ]
 let blkperf_mixes = [ 0; 50; 100 ]                (* % of ops that are reads *)
@@ -667,61 +713,39 @@ let run_blkperf () =
   let scaling = kiops 16 50 /. kiops 1 50 in
   let errors = List.fold_left (fun acc p -> acc + p.bpp_io_errors) 0 points in
   banner "blkperf: single-fault recovery latency per storage fault class";
-  Printf.printf "%-24s %14s %14s\n" "Fault" "detect (us)" "outage (us)";
-  print_endline (String.make 54 '-');
   let recovery =
-    List.map
-      (fun fault ->
-         let s = Fault_inject.measure_blk_recovery fault in
-         Printf.printf "%-24s %14d %14d\n" s.Fault_inject.rs_fault
-           (s.Fault_inject.rs_detect_ns / 1_000)
-           (s.Fault_inject.rs_outage_ns / 1_000);
-         s)
-      Fault_inject.all_blk_faults
+    recovery_table ~width:24 Fault_inject.measure_blk_recovery Fault_inject.all_blk_faults
   in
   let worst_outage =
     List.fold_left (fun acc s -> max acc s.Fault_inject.rs_outage_ns) 0 recovery
   in
-  let scaling_ok = scaling >= blkperf_scaling_floor in
-  let outage_ok = worst_outage <= blkperf_outage_bound_ms * 1_000_000 in
-  let pass = scaling_ok && outage_ok && errors = 0 in
-  Printf.printf "\nqd16 over qd1 at 50%% reads: %.2fx (floor %.1fx)  %s\n" scaling
-    blkperf_scaling_floor (if scaling_ok then "ok" else "FAIL");
-  Printf.printf "worst recovery outage: %d us (bound %d ms)  %s\n" (worst_outage / 1_000)
-    blkperf_outage_bound_ms (if outage_ok then "ok" else "FAIL");
-  Printf.printf "I/O errors across the sweep: %d  %s\n" errors
-    (if errors = 0 then "ok" else "FAIL");
-  print_endline (if pass then "BLKPERF PASSED" else "BLKPERF FAILED");
-  let doc =
-    J.Obj
-      [ J.schema 7;
-        ("bench", J.Str "blkperf");
-        ("units", J.Str "kiops");
-        ("write_pages", J.Int blkperf_write_pages);
-        ("read_region_pages", J.Int blkperf_read_region);
-        ("window_ms", J.Int blkperf_window_ms);
-        ( "points",
-          J.List
-            (List.map
-               (fun p ->
-                  J.Obj
-                    [ ("depth", J.Int p.bpp_depth);
-                      ("read_pct", J.Int p.bpp_read_pct);
-                      ("kiops", J.fnum ~dp:1 p.bpp_kiops);
-                      ("reads", J.Int p.bpp_reads);
-                      ("writes", J.Int p.bpp_writes);
-                      ("io_errors", J.Int p.bpp_io_errors);
-                      ("lat_us", J.fnum ~dp:1 p.bpp_lat_us) ])
-               points) );
-        ("scaling_qd16_over_qd1_mixed", J.fnum scaling);
-        ("scaling_floor", J.fnum ~dp:1 blkperf_scaling_floor);
-        ("recovery", recovery_rows recovery);
-        ("outage_bound_ms", J.Int blkperf_outage_bound_ms);
-        ("pass", J.Bool pass) ]
+  let scaling_g = J.gate "scaling_qd16_over_qd1_mixed" scaling Ge blkperf_scaling_floor in
+  let outage_g =
+    J.gate "worst_outage_ms" (fi worst_outage /. 1e6) Le (fi blkperf_outage_bound_ms)
   in
-  J.write ~path:"BENCH_7.json" doc;
-  print_endline "wrote BENCH_7.json";
-  pass
+  let errors_g = J.gate "io_errors" (fi errors) Eq 0. in
+  Printf.printf "\nqd16 over qd1 at 50%% reads: %.2fx (floor %.1fx)  %s\n" scaling
+    blkperf_scaling_floor (verdict scaling_g);
+  Printf.printf "worst recovery outage: %d us (bound %d ms)  %s\n" (worst_outage / 1_000)
+    blkperf_outage_bound_ms (verdict outage_g);
+  Printf.printf "I/O errors across the sweep: %d  %s\n" errors (verdict errors_g);
+  { rows =
+      ints ~unit:"pages" "blkperf"
+        [ ("write_pages", blkperf_write_pages); ("read_region_pages", blkperf_read_region) ]
+      @ ints ~unit:"ms" "blkperf" [ ("window_ms", blkperf_window_ms) ]
+      @ List.concat_map
+          (fun p ->
+             let labels =
+               [ ("depth", string_of_int p.bpp_depth); ("read_pct", string_of_int p.bpp_read_pct) ]
+             in
+             [ J.row ~dp:1 ~labels "blkperf.kiops" "kiops" p.bpp_kiops;
+               J.row ~dp:1 ~labels "blkperf.lat_us" "us" p.bpp_lat_us ]
+             @ ints ~labels "blkperf"
+                 [ ("reads", p.bpp_reads); ("writes", p.bpp_writes);
+                   ("io_errors", p.bpp_io_errors) ])
+          points
+      @ recovery_rows recovery;
+    gates = [ scaling_g; outage_g; errors_g ] }
 
 (* ---- warm standby: the upgrade soak (make upgrade-smoke) ---- *)
 
@@ -744,40 +768,29 @@ let run_upgrade_soak () =
   Printf.printf "workload: %d writes acked, %d fsyncs, %d media sweeps, %d I/O errors\n"
     r.Fault_inject.usr_writes r.Fault_inject.usr_fsyncs r.Fault_inject.usr_verifies
     r.Fault_inject.usr_io_errors;
-  (match r.Fault_inject.usr_violations with
-   | [] -> print_endline "crash-consistency invariant: held across every interleaving"
-   | vs ->
-     Printf.printf "INVARIANT VIOLATIONS (%d):\n" (List.length vs);
-     List.iter (fun v -> print_endline ("  " ^ v)) vs);
-  let ok =
-    r.Fault_inject.usr_violations = []
-    && r.Fault_inject.usr_state = Supervisor.Running
-    && r.Fault_inject.usr_io_errors = 0
-    && r.Fault_inject.usr_upgrades > 0
-    && r.Fault_inject.usr_warm_swaps > 0
-  in
-  print_endline
-    (if ok then "\nUPGRADE SOAK PASSED"
-     else Printf.sprintf "\nUPGRADE SOAK FAILED (root seed 0x%LX)" bench_root);
-  (r, ok)
+  print_violations ~held:"crash-consistency invariant: held across every interleaving"
+    r.Fault_inject.usr_violations;
+  { rows =
+      (let open Fault_inject in
+       ints "upgrade_soak"
+         [ ("upgrades", r.usr_upgrades); ("warm_swaps", r.usr_warm_swaps);
+           ("cold_restarts", r.usr_cold_restarts); ("standbys_poisoned", r.usr_poisoned);
+           ("writes", r.usr_writes); ("fsyncs", r.usr_fsyncs); ("verifies", r.usr_verifies);
+           ("io_errors", r.usr_io_errors) ]);
+    gates =
+      soak_gates r.Fault_inject.usr_violations r.Fault_inject.usr_state
+      @ [ J.gate "io_errors" (fi r.Fault_inject.usr_io_errors) Eq 0.;
+          J.gate "upgrades" (fi r.Fault_inject.usr_upgrades) Gt 0.;
+          J.gate "warm_swaps" (fi r.Fault_inject.usr_warm_swaps) Gt 0. ] }
 
 (* ---- warm standby: per-class failover outage vs the cold baseline ---- *)
 
-(* Replays the BENCH_7 recovery sweep with the warm standby enabled and
+(* Replays the blkperf recovery sweep with the warm standby enabled and
    gates on the headline claim: a crash-class failover served by a
    pre-forked generation must complete in at most half the cold outage
-   recorded in BENCH_7.json.  Writes BENCH_8.json. *)
+   recorded in the baseline (BENCH_7's sweep). *)
 
 let upgrade_speedup_floor = 2.0
-
-let cold_blk_outage name =
-  J.of_file "BENCH_7.json" |> Result.to_option
-  >>= fun doc ->
-  J.member doc "recovery"
-  >>= J.as_list
-  >>= fun rows ->
-  J.find_point rows [ ("fault", J.Str name) ]
-  >>= fun row -> J.member row "outage_ns" >>= J.as_int
 
 let run_upgrade_bench () =
   banner "warm failover: per-class outage with a pre-forked standby (vs BENCH_7 cold)";
@@ -787,15 +800,13 @@ let run_upgrade_bench () =
     List.map
       (fun fault ->
          let s = Fault_inject.measure_warm_blk_recovery fault in
-         let cold = cold_blk_outage s.Fault_inject.rs_fault in
-         let speedup =
-           match cold with
-           | Some c -> float_of_int c /. float_of_int s.Fault_inject.rs_outage_ns
-           | None -> nan
+         let cold =
+           J.baseline ~metric:"recovery.outage_ns" [ ("fault", s.Fault_inject.rs_fault) ]
          in
+         let speedup = cold /. fi s.Fault_inject.rs_outage_ns in
          Printf.printf "%-24s %14d %14s %8.1fx\n" s.Fault_inject.rs_fault
            (s.Fault_inject.rs_outage_ns / 1_000)
-           (match cold with Some c -> string_of_int (c / 1_000) | None -> "?")
+           (if Float.is_nan cold then "?" else string_of_int (int_of_float cold / 1_000))
            speedup;
          (s, cold, speedup))
       Fault_inject.all_blk_faults
@@ -805,46 +816,29 @@ let run_upgrade_bench () =
       (fun acc (s, _, sp) -> if s.Fault_inject.rs_fault = "blk_crash" then sp else acc)
       nan rows
   in
-  let pass = crash_speedup >= upgrade_speedup_floor in
+  let g = J.gate "crash_speedup" crash_speedup Ge upgrade_speedup_floor in
   Printf.printf "\ncrash-class warm failover: %.1fx faster than cold (floor %.1fx)  %s\n"
-    crash_speedup upgrade_speedup_floor (if pass then "ok" else "FAIL");
-  let doc =
-    J.Obj
-      [ J.schema 8;
-        ("bench", J.Str "warm_failover");
-        ("units", J.Str "ns");
-        ("cold_baseline", J.Str "BENCH_7.json");
-        ( "recovery",
-          J.List
-            (List.map
-               (fun (s, cold, speedup) ->
-                  J.Obj
-                    [ ("fault", J.Str s.Fault_inject.rs_fault);
-                      ("detect_ns", J.Int s.Fault_inject.rs_detect_ns);
-                      ("warm_outage_ns", J.Int s.Fault_inject.rs_outage_ns);
-                      ( "cold_outage_ns",
-                        match cold with Some c -> J.Int c | None -> J.Null );
-                      ("speedup", J.fnum ~dp:1 speedup) ])
-               rows) );
-        ("crash_speedup", J.fnum ~dp:1 crash_speedup);
-        ("speedup_floor", J.fnum ~dp:1 upgrade_speedup_floor);
-        ("pass", J.Bool pass) ]
-  in
-  J.write ~path:"BENCH_8.json" doc;
-  print_endline "wrote BENCH_8.json";
-  pass
+    crash_speedup upgrade_speedup_floor (verdict g);
+  { rows =
+      List.concat_map
+        (fun (s, cold, speedup) ->
+           let labels = [ ("fault", s.Fault_inject.rs_fault) ] in
+           recovery_rows ~metric:"warm_recovery" [ s ]
+           @ [ J.row ~labels "warm_recovery.cold_outage_ns" "ns" cold;
+               J.row ~dp:1 ~labels "warm_recovery.speedup" "x" speedup ])
+        rows;
+    gates = [ g ] }
 
 (* ---- netperf_mq: the multiqueue sweep (make bench-mq) ---- *)
 
 (* Sweeps the SUD e1000 over 1/2/4/8 MSI-X vectors under a fixed 8-flow
-   UDP load and writes BENCH_4.json.  The pass condition is the PR's
-   acceptance bar: aggregate throughput at 4 queues must be at least 2x
-   the 1-queue figure — the per-queue rings, vectors and service fibers
+   UDP load.  The gate: aggregate throughput at 4 queues must be at least
+   2x the 1-queue figure — the per-queue rings, vectors and service fibers
    must actually parallelize the datapath, not just shard its naming. *)
 
 let mq_speedup_floor = 2.0
 
-let run_netperf_mq ~json =
+let run_netperf_mq () =
   banner "netperf_mq: aggregate UDP RX vs queue count (SUD driver, 8 flows, 8 cores)";
   let points = Netperf.mq_sweep () in
   Printf.printf "%-8s %14s %8s %10s   %s\n" "queues" "Kpackets/s" "CPU" "samples"
@@ -871,66 +865,43 @@ let run_netperf_mq ~json =
          || List.length (List.filter (fun n -> n > 0) p.Netperf.mq_rxq_frames) >= 2)
       points
   in
-  let pass = speedup >= mq_speedup_floor && spread_ok in
   Printf.printf "\n4-queue speedup over 1 queue: %.2fx (floor %.1fx)   RSS spread: %s\n"
     speedup mq_speedup_floor
     (if spread_ok then "ok" else "DEGENERATE (one queue took everything)");
-  print_endline (if pass then "NETPERF_MQ PASSED" else "NETPERF_MQ FAILED");
-  if json then begin
-    let doc =
-      J.Obj
-        [ J.schema 4;
-          ("bench", J.Str "netperf_mq");
-          ("flows", J.Int Netperf.mq_flows);
-          ("units", J.Str "kpackets_per_sec");
-          ( "points",
-            J.List
-              (List.map
-                 (fun p ->
-                    J.Obj
-                      [ ("queues", J.Int p.Netperf.mq_queues);
-                        ("kpps", J.fnum ~dp:1 p.Netperf.mq_kpps);
-                        ("cpu_pct", J.fnum ~dp:1 p.Netperf.mq_cpu_pct);
-                        ("samples", J.Int p.Netperf.mq_samples);
-                        ( "rxq_frames",
-                          J.List (List.map (fun f -> J.Int f) p.Netperf.mq_rxq_frames) ) ])
-                 points) );
-          ("speedup_4q_over_1q", J.fnum speedup);
-          ("speedup_floor", J.fnum ~dp:1 mq_speedup_floor);
-          ("pass", J.Bool pass) ]
-    in
-    J.write ~path:"BENCH_4.json" doc;
-    print_endline "wrote BENCH_4.json"
-  end;
-  pass
+  { rows =
+      ints "mq" [ ("flows", Netperf.mq_flows) ]
+      @ List.concat_map
+          (fun p ->
+             let labels = [ ("queues", string_of_int p.Netperf.mq_queues) ] in
+             [ J.row ~dp:1 ~labels "mq.kpps" "kpps" p.Netperf.mq_kpps;
+               J.row ~dp:1 ~labels "mq.cpu_pct" "%" p.Netperf.mq_cpu_pct;
+               J.row ~labels "mq.samples" "count" (fi p.Netperf.mq_samples) ]
+             @ List.mapi
+                 (fun i n ->
+                    J.row ~labels:(labels @ [ ("rxq", string_of_int i) ]) "mq.rxq_frames"
+                      "count" (fi n))
+                 p.Netperf.mq_rxq_frames)
+          points;
+    gates =
+      [ J.gate "speedup_4q_over_1q" speedup Ge mq_speedup_floor;
+        J.gate "rss_spread" (flag spread_ok) Eq 1. ] }
 
 (* ---- netperf_batch: the frame-aggregation sweep (make bench-batch) ---- *)
 
-(* Gates are the PR's acceptance bar: the fused defensive-copy+checksum
-   must be at least 30% cheaper per full-MTU frame than the two passes it
-   replaced; 8 queues with batch 32 must beat the best pre-batching
-   multiqueue figure (BENCH_4's 4-queue point) by 1.5x; NAPI coalescing
+(* The gates: the fused defensive-copy+checksum must be at least 30%
+   cheaper per full-MTU frame than the two passes it replaced; 8 queues
+   with batch 32 must beat the best pre-batching multiqueue figure
+   (BENCH_4's 4-queue point, in the baseline) by 1.5x; NAPI coalescing
    must hold interrupts under 0.2 per frame at load; and the batch=1
    single-frame path must stay within 5% of BENCH_4's 1-queue figure
    (aggregation must not tax the unbatched case). *)
 
-let batch_baseline_path = "BENCH_4.json"
 let batch_speedup_floor = 1.5
 let batch_irq_ceiling = 0.2
 let batch_single_frame_floor = 0.95
 let fused_ratio_ceiling = 0.70
 
-(* Pull the kpps of one queue-count point out of BENCH_4.json. *)
-let bench4_kpps queues =
-  match J.of_file batch_baseline_path with
-  | Error _ -> None
-  | Ok doc ->
-    J.member doc "points" >>= J.as_list
-    >>= fun pts ->
-    J.find_point pts [ ("queues", J.Int queues) ]
-    >>= fun p -> J.member p "kpps" >>= J.as_float
-
-let run_netperf_batch ?(smoke = false) () =
+let run_netperf_batch ~smoke =
   banner "netperf_batch: frame aggregation + NAPI coalescing (SUD driver, 8 flows)";
   (* The fused pass vs the two passes it replaced, in simulated datapath
      cost at full MTU: one sweep does the copy and the checksum together,
@@ -944,13 +915,14 @@ let run_netperf_batch ?(smoke = false) () =
   Printf.printf "fused single-pass copy+checksum:          %5d ns  (%.0f%% cheaper)\n\n"
     fused ((1. -. fused_ratio) *. 100.);
   (* Smoke mode (make bench-batch) measures only the four corner points
-     the pass gates read; the full grid behind the checked-in
-     BENCH_5.json adds the interior batch=8 and queues=4 rows. *)
+     the gates read; the full grid adds the interior batch=8 and
+     queues=4 rows. *)
   let grid =
     if smoke then [ (1, 1); (1, 32); (8, 1); (8, 32) ]
     else List.concat_map (fun q -> List.map (fun b -> (q, b)) [ 1; 8; 32 ]) [ 1; 4; 8 ]
   in
   let points = Netperf.batch_sweep ~points:grid () in
+  let ipf p = fi p.Netperf.bp_irqs /. fi (max 1 p.Netperf.bp_frames) in
   Printf.printf "%-8s %-8s %14s %8s %10s %12s %12s %14s\n" "queues" "batch" "Kpackets/s"
     "CPU" "samples" "frames" "irqs/frame" "cpu ns/frame";
   print_endline (String.make 92 '-');
@@ -958,85 +930,50 @@ let run_netperf_batch ?(smoke = false) () =
     (fun p ->
        Printf.printf "%-8d %-8d %14.1f %7.0f%% %10d %12d %12.3f %14.0f\n" p.Netperf.bp_queues
          p.Netperf.bp_batch p.Netperf.bp_kpps p.Netperf.bp_cpu_pct p.Netperf.bp_samples
-         p.Netperf.bp_frames
-         (float_of_int p.Netperf.bp_irqs /. float_of_int (max 1 p.Netperf.bp_frames))
-         p.Netperf.bp_cpu_ns_per_frame)
+         p.Netperf.bp_frames (ipf p) p.Netperf.bp_cpu_ns_per_frame)
     points;
   let find q b =
     List.find_opt (fun p -> p.Netperf.bp_queues = q && p.Netperf.bp_batch = b) points
   in
-  let kpps q b = match find q b with Some p -> p.Netperf.bp_kpps | None -> nan in
-  let irqs_per_frame q b =
-    match find q b with
-    | Some p -> float_of_int p.Netperf.bp_irqs /. float_of_int (max 1 p.Netperf.bp_frames)
-    | None -> nan
-  in
-  let base_4q = match bench4_kpps 4 with Some v -> v | None -> 1126.5 in
-  let base_1q = match bench4_kpps 1 with Some v -> v | None -> 508.9 in
-  let speedup = kpps 8 32 /. base_4q in
-  let ipf = irqs_per_frame 8 32 in
-  let single = kpps 1 1 /. base_1q in
-  let fused_ok = fused_ratio <= fused_ratio_ceiling in
-  let speedup_ok = speedup >= batch_speedup_floor in
-  let irq_ok = ipf < batch_irq_ceiling in
-  let single_ok = single >= batch_single_frame_floor in
-  let pass = fused_ok && speedup_ok && irq_ok && single_ok in
+  let at q b f = match find q b with Some p -> f p | None -> nan in
+  let base_4q = J.baseline ~metric:"mq.kpps" [ ("queues", "4") ] in
+  let base_1q = J.baseline ~metric:"mq.kpps" [ ("queues", "1") ] in
+  let speedup = at 8 32 (fun p -> p.Netperf.bp_kpps) /. base_4q in
+  let ipf_8q = at 8 32 ipf in
+  let single = at 1 1 (fun p -> p.Netperf.bp_kpps) /. base_1q in
+  let fused_g = J.gate "fused_ratio" fused_ratio Le fused_ratio_ceiling in
+  let speedup_g = J.gate "speedup_8q_b32_over_4q" speedup Ge batch_speedup_floor in
+  let irq_g = J.gate "irqs_per_frame_8q_b32" ipf_8q Lt batch_irq_ceiling in
+  let single_g = J.gate "single_frame_ratio_1q_b1" single Ge batch_single_frame_floor in
   Printf.printf "\nfused/two-pass cost ratio: %.3f (ceiling %.2f)  %s\n" fused_ratio
-    fused_ratio_ceiling (if fused_ok then "ok" else "FAIL");
+    fused_ratio_ceiling (verdict fused_g);
   Printf.printf "8q batch=32 vs BENCH_4 4q (%.1f kpps): %.2fx (floor %.1fx)  %s\n" base_4q
-    speedup batch_speedup_floor (if speedup_ok then "ok" else "FAIL");
-  Printf.printf "irqs per frame at 8q batch=32: %.3f (ceiling %.1f)  %s\n" ipf
-    batch_irq_ceiling (if irq_ok then "ok" else "FAIL");
+    speedup batch_speedup_floor (verdict speedup_g);
+  Printf.printf "irqs per frame at 8q batch=32: %.3f (ceiling %.1f)  %s\n" ipf_8q
+    batch_irq_ceiling (verdict irq_g);
   Printf.printf "1q batch=1 vs BENCH_4 1q (%.1f kpps): %.2fx (floor %.2fx)  %s\n" base_1q
-    single batch_single_frame_floor (if single_ok then "ok" else "FAIL");
-  print_endline (if pass then "NETPERF_BATCH PASSED" else "NETPERF_BATCH FAILED");
-  if smoke then print_endline "(smoke mode: corner points only, BENCH_5.json left untouched)"
-  else begin
-    let doc =
-      J.Obj
-        [ J.schema 5;
-          ("bench", J.Str "netperf_batch");
-          ("flows", J.Int Netperf.mq_flows);
-          ("units", J.Str "kpackets_per_sec");
-          ( "micro",
-            J.Obj
-              [ ("copy_then_checksum_1448B_ns", J.Int two_pass);
-                ("copy_and_checksum_1448B_ns", J.Int fused);
-                ("fused_ratio", J.fnum fused_ratio);
-                ("fused_ratio_ceiling", J.fnum ~dp:2 fused_ratio_ceiling) ] );
-          ( "points",
-            J.List
-              (List.map
-                 (fun p ->
-                    J.Obj
-                      [ ("queues", J.Int p.Netperf.bp_queues);
-                        ("batch", J.Int p.Netperf.bp_batch);
-                        ("kpps", J.fnum ~dp:1 p.Netperf.bp_kpps);
-                        ("cpu_pct", J.fnum ~dp:1 p.Netperf.bp_cpu_pct);
-                        ("samples", J.Int p.Netperf.bp_samples);
-                        ("frames", J.Int p.Netperf.bp_frames);
-                        ("irqs", J.Int p.Netperf.bp_irqs);
-                        ( "irqs_per_frame",
-                          J.fnum
-                            (float_of_int p.Netperf.bp_irqs
-                             /. float_of_int (max 1 p.Netperf.bp_frames)) );
-                        ("cpu_ns_per_frame", J.fnum ~dp:0 p.Netperf.bp_cpu_ns_per_frame) ])
-                 points) );
-          ("baseline", J.Str batch_baseline_path);
-          ("baseline_kpps_1q", J.fnum ~dp:1 base_1q);
-          ("baseline_kpps_4q", J.fnum ~dp:1 base_4q);
-          ("speedup_8q_b32_over_4q", J.fnum speedup);
-          ("speedup_floor", J.fnum ~dp:1 batch_speedup_floor);
-          ("irqs_per_frame_8q_b32", J.fnum ipf);
-          ("irq_ceiling", J.fnum ~dp:1 batch_irq_ceiling);
-          ("single_frame_ratio_1q_b1", J.fnum single);
-          ("single_frame_floor", J.fnum ~dp:2 batch_single_frame_floor);
-          ("pass", J.Bool pass) ]
-    in
-    J.write ~path:"BENCH_5.json" doc;
-    print_endline "wrote BENCH_5.json"
-  end;
-  pass
+    single batch_single_frame_floor (verdict single_g);
+  { rows =
+      ints "batch" [ ("flows", Netperf.mq_flows) ]
+      @ ints ~labels:[ ("bytes", string_of_int pkt) ] ~unit:"ns" "batch"
+          [ ("copy_then_checksum_ns", two_pass); ("copy_and_checksum_ns", fused) ]
+      @ List.concat_map
+          (fun p ->
+             let labels =
+               [ ("queues", string_of_int p.Netperf.bp_queues);
+                 ("batch", string_of_int p.Netperf.bp_batch) ]
+             in
+             [ J.row ~dp:1 ~labels "batch.kpps" "kpps" p.Netperf.bp_kpps;
+               J.row ~dp:1 ~labels "batch.cpu_pct" "%" p.Netperf.bp_cpu_pct;
+               J.row ~labels "batch.irqs_per_frame" "ratio" (ipf p);
+               J.row ~dp:0 ~labels "batch.cpu_ns_per_frame" "ns" p.Netperf.bp_cpu_ns_per_frame ]
+             @ ints ~labels "batch"
+                 [ ("samples", p.Netperf.bp_samples); ("frames", p.Netperf.bp_frames);
+                   ("irqs", p.Netperf.bp_irqs) ])
+          points
+      @ [ J.row ~dp:1 ~labels:[ ("queues", "1") ] "batch.baseline_kpps" "kpps" base_1q;
+          J.row ~dp:1 ~labels:[ ("queues", "4") ] "batch.baseline_kpps" "kpps" base_4q ];
+    gates = [ fused_g; speedup_g; irq_g; single_g ] }
 
 (* ---- proto_fuzz: the live Byzantine fuzz campaign (make fuzz-smoke) ---- *)
 
@@ -1045,23 +982,11 @@ let run_netperf_batch ?(smoke = false) () =
    violations with every class detected at least once, a pure protocol
    crash-looper must end in quarantine, and the always-on conformance
    validator must cost at most 5% of the BENCH_5 8q/batch=32 throughput
-   point.  Writes BENCH_6.json. *)
+   point. *)
 
 let fuzz_seed = bseed "bench:fuzz"
 let fuzz_mutations = 600
 let fuzz_overhead_floor = 0.95
-let fuzz_baseline_path = "BENCH_5.json"
-
-(* Pull the kpps of one (queues, batch) point out of BENCH_5.json. *)
-let bench5_kpps ~queues ~batch =
-  match J.of_file fuzz_baseline_path with
-  | Error _ -> None
-  | Ok doc ->
-    J.member doc "points" >>= J.as_list
-    >>= fun pts ->
-    J.find_point pts [ ("queues", J.Int queues); ("batch", J.Int batch) ]
-    >>= fun p -> J.member p "kpps" >>= J.as_float
-
 let run_fuzz () =
   banner
     (Printf.sprintf "proto_fuzz: live Byzantine mutation campaign (seed 0x%LX, %d mutations)"
@@ -1077,11 +1002,7 @@ let run_fuzz () =
     r.Proto_fuzz.fz_by_class r.Proto_fuzz.fz_detected;
   Printf.printf "supervisor: %d detections, %d restarts, %d deaths checked\n"
     r.Proto_fuzz.fz_detections r.Proto_fuzz.fz_restarts r.Proto_fuzz.fz_deaths;
-  (match r.Proto_fuzz.fz_violations with
-   | [] -> print_endline "invariants: all held"
-   | vs ->
-     Printf.printf "INVARIANT VIOLATIONS (%d):\n" (List.length vs);
-     List.iter (fun v -> print_endline ("  " ^ v)) vs);
+  print_violations ~held:"invariants: all held" r.Proto_fuzz.fz_violations;
   let q = Proto_fuzz.quarantine_campaign ~max_restarts:3 () in
   Printf.printf "protocol crash loop: %d restarts then quarantined=%b\n"
     q.Proto_fuzz.pq_restarts q.Proto_fuzz.pq_quarantined;
@@ -1091,71 +1012,42 @@ let run_fuzz () =
      hottest BENCH_5 point re-measured here carries its full cost. *)
   banner "conformance overhead: udp_batch_rx 8q/batch=32 vs BENCH_5";
   let p = Netperf.udp_batch_rx ~queues:8 ~batch:32 in
-  let base = match bench5_kpps ~queues:8 ~batch:32 with Some v -> v | None -> 3213.5 in
+  let labels = [ ("queues", "8"); ("batch", "32") ] in
+  let base = J.baseline ~metric:"batch.kpps" labels in
   let ratio = p.Netperf.bp_kpps /. base in
-  let overhead_ok = ratio >= fuzz_overhead_floor in
+  let overhead_g = J.gate "overhead_ratio_8q_b32" ratio Ge fuzz_overhead_floor in
   Printf.printf "8q batch=32: %.1f kpps vs baseline %.1f kpps = %.3fx (floor %.2fx)  %s\n"
-    p.Netperf.bp_kpps base ratio fuzz_overhead_floor (if overhead_ok then "ok" else "FAIL");
-  let coverage_ok =
-    r.Proto_fuzz.fz_applied >= 500
-    && List.for_all (fun (_, n) -> n > 0) r.Proto_fuzz.fz_detected
+    p.Netperf.bp_kpps base ratio fuzz_overhead_floor (verdict overhead_g);
+  let class_rows metric =
+    List.map (fun (cls, n) -> J.row ~labels:[ ("class", cls) ] metric "count" (fi n))
   in
-  let pass =
-    r.Proto_fuzz.fz_violations = []
-    && r.Proto_fuzz.fz_state = Supervisor.Running
-    && coverage_ok
-    && q.Proto_fuzz.pq_quarantined
-    && q.Proto_fuzz.pq_violations = []
-    && overhead_ok
-  in
-  print_endline
-    (if pass then "PROTO_FUZZ PASSED"
-     else Printf.sprintf "PROTO_FUZZ FAILED (root seed 0x%LX)" bench_root);
-  let doc =
-    J.Obj
-      [ J.schema 6;
-        ("bench", J.Str "proto_fuzz");
-        ("seed", J.Str (Printf.sprintf "0x%LX" r.Proto_fuzz.fz_seed));
-        ("planned", J.Int r.Proto_fuzz.fz_planned);
-        ("applied", J.Int r.Proto_fuzz.fz_applied);
-        ("skipped", J.Int r.Proto_fuzz.fz_skipped);
-        ( "classes",
-          J.List
-            (List.map
-               (fun ((cls, applied), (_, detected)) ->
-                  J.Obj
-                    [ ("class", J.Str cls);
-                      ("applied", J.Int applied);
-                      ("detected", J.Int detected) ])
-               (List.combine r.Proto_fuzz.fz_by_class r.Proto_fuzz.fz_detected)) );
-        ("detections", J.Int r.Proto_fuzz.fz_detections);
-        ("restarts", J.Int r.Proto_fuzz.fz_restarts);
-        ("deaths", J.Int r.Proto_fuzz.fz_deaths);
-        ("violations", J.List (List.map (fun v -> J.Str v) r.Proto_fuzz.fz_violations));
-        ( "quarantine",
-          J.Obj
-            [ ("restarts", J.Int q.Proto_fuzz.pq_restarts);
-              ("quarantined", J.Bool q.Proto_fuzz.pq_quarantined) ] );
-        ( "overhead",
-          J.Obj
-            [ ("queues", J.Int 8);
-              ("batch", J.Int 32);
-              ("kpps", J.fnum ~dp:1 p.Netperf.bp_kpps);
-              ("baseline", J.Str fuzz_baseline_path);
-              ("baseline_kpps", J.fnum ~dp:1 base);
-              ("ratio", J.fnum ratio);
-              ("floor", J.fnum ~dp:2 fuzz_overhead_floor) ] );
-        ("pass", J.Bool pass) ]
-  in
-  J.write ~path:"BENCH_6.json" doc;
-  print_endline "wrote BENCH_6.json";
-  pass
+  { rows =
+      (let open Proto_fuzz in
+       ints "fuzz"
+         [ ("planned", r.fz_planned); ("applied", r.fz_applied); ("skipped", r.fz_skipped);
+           ("detections", r.fz_detections); ("restarts", r.fz_restarts); ("deaths", r.fz_deaths);
+           ("violations", List.length r.fz_violations); ("quarantine_restarts", q.pq_restarts);
+           ("quarantined", Bool.to_int q.pq_quarantined) ])
+      @ class_rows "fuzz.class_applied" r.Proto_fuzz.fz_by_class
+      @ class_rows "fuzz.class_detected" r.Proto_fuzz.fz_detected
+      @ [ J.row ~dp:1 ~labels "batch.kpps" "kpps" p.Netperf.bp_kpps;
+          J.row ~dp:1 ~labels "fuzz.baseline_kpps" "kpps" base ];
+    gates =
+      soak_gates r.Proto_fuzz.fz_violations r.Proto_fuzz.fz_state
+      @ [ J.gate "mutations_applied" (fi r.Proto_fuzz.fz_applied) Ge 500.;
+          J.gate "least_detected_class"
+            (fi (List.fold_left (fun acc (_, n) -> min acc n) max_int r.Proto_fuzz.fz_detected))
+            Gt 0.;
+          J.gate "crash_loop_quarantined" (flag q.Proto_fuzz.pq_quarantined) Eq 1.;
+          J.gate "quarantine_violations" (fi (List.length q.Proto_fuzz.pq_violations)) Eq 0.;
+          overhead_g ] }
 
 (* ---- disabled-tracer overhead guard ---- *)
 
 (* The compile-out-cheap claim, enforced: with tracing disabled (the
    default; nothing in this harness enables it outside the soak), the
-   guarded hot paths must sit within 5% of the BENCH_2.json baseline.
+   guarded hot paths must sit within 5% of their BENCH_2 figures, copied
+   into the baseline.
 
    Two noise sources have to be rejected at the 10ns scale.  Machine
    drift since the baseline was recorded: benches whose code is
@@ -1175,14 +1067,10 @@ let run_fuzz () =
 let guard_keys = [ "ring_push_pop"; "iommu_translate_hit" ]
 let guard_control = "msg_marshal_unmarshal"
 let guard_threshold = 1.05
-let guard_baseline_path = "BENCH_2.json"
 
-(* Pull the micro-bench ns/op of one key out of a BENCH_*.json
-   ([None] when the key is absent or its estimate was null). *)
-let baseline_ns path key =
-  match J.of_file path with
-  | Error _ -> None
-  | Ok doc -> J.path doc [ "micro"; key; "ns_per_op" ] >>= J.as_float
+let baseline_ns key =
+  let ns = J.baseline ~metric:"micro.ns_per_op" [ ("key", key) ] in
+  if Float.is_nan ns then None else Some ns
 
 (* One shared environment for all retries: rebuilding the cases per call
    would leave a trail of dead 16 MB phys_mem arenas, and on this box the
@@ -1195,23 +1083,7 @@ let remeasure ?(quota = 0.4) key =
   | None -> nan
   | Some (_, name, fn) ->
     Gc.compact ();
-    let open Bechamel in
-    let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None () in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let test = Test.make ~name (Staged.stage fn) in
-    let results = Benchmark.all cfg instances test in
-    let analysis =
-      Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| "run" |])
-        Toolkit.Instance.monotonic_clock results
-    in
-    let est = ref nan in
-    Hashtbl.iter
-      (fun _ ols ->
-         match Analyze.OLS.estimates ols with
-         | Some [ e ] -> est := e
-         | Some _ | None -> ())
-      analysis;
-    !est
+    bechamel_ns ~quota name fn
 
 type guard_row = {
   gk_key : string;
@@ -1224,15 +1096,15 @@ type guard_row = {
 
 let trace_overhead_guard micro =
   banner
-    (Printf.sprintf "Disabled-tracer bench guard (<= %.0f%% of %s)"
-       (guard_threshold *. 100.) guard_baseline_path);
+    (Printf.sprintf "Disabled-tracer bench guard (<= %.0f%% of BENCH_2)"
+       (guard_threshold *. 100.));
   let measured_of key =
     match List.find_opt (fun (k, _, _) -> k = key) micro with
     | Some (_, _, ns) when not (Float.is_nan ns) -> Some ns
     | _ -> None
   in
   let drift =
-    match baseline_ns guard_baseline_path guard_control, measured_of guard_control with
+    match baseline_ns guard_control, measured_of guard_control with
     | Some base, Some ns when base > 0. -> ns /. base
     | _ -> 1.0
   in
@@ -1240,9 +1112,9 @@ let trace_overhead_guard micro =
   let rows =
     List.map
       (fun key ->
-         match baseline_ns guard_baseline_path key, measured_of key with
+         match baseline_ns key, measured_of key with
          | Some base, Some ns0 ->
-           let ctl_base = baseline_ns guard_baseline_path guard_control in
+           let ctl_base = baseline_ns guard_control in
            let ns = ref ns0 in
            let best_raw = ref (ns0 /. base) in
            let best_norm =
@@ -1285,87 +1157,45 @@ let trace_overhead_guard micro =
            { gk_key = key; gk_base = base; gk_ns = !ns; gk_ratio = !best_raw;
              gk_norm = !best_norm; gk_pass = !passed }
          | _ ->
-           (* No baseline (or no estimate): report, don't fail the build
-              on a missing file. *)
+           (* No baseline or no estimate: nothing vouches for the key. *)
            { gk_key = key; gk_base = nan; gk_ns = nan; gk_ratio = nan;
-             gk_norm = nan; gk_pass = true })
+             gk_norm = nan; gk_pass = false })
       guard_keys
   in
   List.iter
     (fun g ->
        if Float.is_nan g.gk_ratio then
-         Printf.printf "%-24s (no baseline available)\n" g.gk_key
+         Printf.printf "%-24s no baseline or no estimate  REGRESSION\n" g.gk_key
        else
          Printf.printf
            "%-24s baseline %6.1f ns  measured %6.1f ns  ratio %.3f (%.3f normalized)  %s\n"
            g.gk_key g.gk_base g.gk_ns g.gk_ratio g.gk_norm
            (if g.gk_pass then "ok" else "REGRESSION"))
     rows;
-  let pass = List.for_all (fun g -> g.gk_pass) rows in
-  print_endline
-    (if pass then "tracer-disabled hot paths within budget"
-     else "TRACER GUARD FAILED: hot path regressed past the budget");
-  (rows, pass, drift)
-
-(* ---- machine-readable baseline (BENCH_*.json) ---- *)
-
-let write_bench_json ~path ~mode ~micro ~figure8_rows ~recovery ~guard ~guard_pass ~guard_drift =
-  (* The metrics snapshot is already JSON (Sud_obs renders it); parsing
-     it back into the document keeps the baseline one well-formed tree
-     instead of a string splice. *)
-  let metrics =
-    match J.of_string (Sud_obs.Metrics.to_json (Sud_obs.Metrics.snapshot ())) with
-    | Ok v -> v
-    | Error e -> failwith ("bench: metrics snapshot is not valid JSON: " ^ e)
-  in
-  let doc =
-    J.Obj
-      [ J.schema 3;
-        ("mode", J.Str mode);
-        ("units", J.Str "ns_per_op");
-        ( "micro",
-          J.Obj
-            (List.map
-               (fun (key, name, ns) ->
-                  (key, J.Obj [ ("name", J.Str name); ("ns_per_op", J.fnum ~dp:1 ns) ]))
-               micro) );
-        ( "figure8",
-          J.List
-            (List.map
-               (fun r ->
-                  J.Obj
-                    [ ("test", J.Str r.Netperf.test);
-                      ("driver", J.Str r.Netperf.driver);
-                      ("value", J.Str r.Netperf.value);
-                      ("cpu", J.Str r.Netperf.cpu) ])
-               figure8_rows) );
-        ( "trace_overhead",
-          J.Obj
-            [ ("baseline", J.Str guard_baseline_path);
-              ("threshold", J.fnum ~dp:2 guard_threshold);
-              ("control", J.Str guard_control);
-              ("control_drift", J.fnum guard_drift);
-              ( "guard",
-                J.List
-                  (List.map
-                     (fun g ->
-                        J.Obj
-                          [ ("key", J.Str g.gk_key);
-                            ("baseline_ns", J.fnum g.gk_base);
-                            ("measured_ns", J.fnum g.gk_ns);
-                            ("ratio", J.fnum g.gk_ratio);
-                            ("ratio_normalized", J.fnum g.gk_norm);
-                            ("pass", J.Bool g.gk_pass) ])
-                     guard) );
-              ("pass", J.Bool guard_pass) ] );
-        ("metrics", metrics);
-        ("recovery", recovery_rows recovery) ]
-  in
-  J.write ~path doc;
-  Printf.printf "\nwrote %s\n" path
+  { rows =
+      J.row "trace_guard.control_drift" "ratio" drift
+      :: List.concat_map
+           (fun g ->
+              let labels = [ ("key", g.gk_key) ] in
+              [ J.row ~labels "trace_guard.baseline_ns" "ns" g.gk_base;
+                J.row ~labels "trace_guard.measured_ns" "ns" g.gk_ns;
+                J.row ~labels "trace_guard.ratio" "ratio" g.gk_ratio;
+                J.row ~labels "trace_guard.ratio_normalized" "ratio" g.gk_norm ])
+           rows;
+    (* The verdict is the sandwich algorithm's, which may widen the
+       threshold by a round's measured resolution. *)
+    gates =
+      List.map
+        (fun g ->
+           { J.name = "trace_overhead." ^ g.gk_key;
+             value = Float.min g.gk_ratio g.gk_norm;
+             op = Le;
+             bound = guard_threshold;
+             pass = g.gk_pass })
+        rows }
 
 (* ---- sud-check: canary hunt, replay determinism, exploration
-   throughput (make check-smoke).  Writes BENCH_9.json. ---- *)
+   throughput (make check-smoke). ---- *)
 
 let check_budget = 200
 let check_shrink_gate = 0.25
@@ -1397,10 +1227,22 @@ let run_check () =
              (sh.Check.sh_orig_events, sh.sh_min_events, sh.sh_ratio, sh.sh_still_fails)
            | None -> (0, 0, 1.0, false)
          in
-         let pass = run >= 0 && still && ratio <= check_shrink_gate in
-         Printf.printf "%-22s %5s %9d %8.2f %10d -> %3d %6s\n" sc.Scenario.sc_name
-           shown_run ex.ex_points ex.ex_elapsed_s orig mn (if pass then "ok" else "FAIL");
-         (sc.sc_name, run, ex.ex_points, ex.ex_elapsed_s, orig, mn, ratio, still, pass))
+         let name = sc.Scenario.sc_name in
+         let gates =
+           [ J.gate (name ^ ".found_run") (fi run) Ge 0.;
+             J.gate (name ^ ".still_fails") (flag still) Eq 1.;
+             J.gate (name ^ ".shrink_ratio") ratio Le check_shrink_gate ]
+         in
+         Printf.printf "%-22s %5s %9d %8.2f %10d -> %3d %6s\n" name shown_run ex.ex_points
+           ex.ex_elapsed_s orig mn (if all_pass gates then "ok" else "FAIL");
+         let labels = [ ("canary", name) ] in
+         { rows =
+             ints ~labels "check"
+               [ ("found_run", run); ("points", ex.ex_points); ("shrink_orig", orig);
+                 ("shrink_min", mn); ("still_fails", Bool.to_int still) ]
+             @ [ J.row ~labels "check.time_to_find_s" "s" ex.ex_elapsed_s;
+                 J.row ~labels "check.shrink_ratio" "ratio" ratio ];
+           gates })
       Scenario.canaries
   in
   (* Recorded schedules must replay with identical trace hashes across
@@ -1417,15 +1259,24 @@ let run_check () =
          let path = Printf.sprintf "traces/bench_check_%s.sched.jsonl" name in
          ignore (Check.record ~path sc ~spec ~seed:(bseed ("bench:check:seed:" ^ name))
                  : Scenario.outcome * Sched.file);
-         match Check.replay_file ~file:path ~times:check_replay_times with
-         | Error e ->
-           Printf.printf "replay %-22s ERROR %s\n" name e;
-           (name, false, false)
-         | Ok r ->
-           Printf.printf "replay %-22s x%d: trace %s, metrics %s\n" name r.Check.rp_times
-             (if r.rp_trace_ok then "bit-for-bit" else "DIVERGED")
-             (if r.rp_metrics_equal then "stable" else "UNSTABLE");
-           (name, r.rp_trace_ok, r.rp_metrics_equal))
+         let trace, metrics =
+           match Check.replay_file ~file:path ~times:check_replay_times with
+           | Error e ->
+             Printf.printf "replay %-22s ERROR %s\n" name e;
+             (false, false)
+           | Ok r ->
+             Printf.printf "replay %-22s x%d: trace %s, metrics %s\n" name r.Check.rp_times
+               (if r.rp_trace_ok then "bit-for-bit" else "DIVERGED")
+               (if r.rp_metrics_equal then "stable" else "UNSTABLE");
+             (r.rp_trace_ok, r.rp_metrics_equal)
+         in
+         { rows =
+             ints ~labels:[ ("scenario", name) ] "check"
+               [ ("trace_bit_for_bit", Bool.to_int trace);
+                 ("metrics_stable", Bool.to_int metrics) ];
+           gates =
+             [ J.gate (name ^ ".replay_trace_bit_for_bit") (flag trace) Eq 1.;
+               J.gate (name ^ ".replay_metrics_stable") (flag metrics) Eq 1. ] })
       [ "doorbell_vs_publish"; "mini-soak" ]
   in
   (* Exploration throughput: how many distinct random schedules of a
@@ -1445,138 +1296,118 @@ let run_check () =
   Printf.printf
     "throughput: %d schedules of %s in %.2fs = %.0f schedules/s (%d choice points)\n"
     check_throughput_runs tp_sc.Scenario.sc_name tp_elapsed per_s !tp_points;
-  let canaries_ok = List.for_all (fun (_, _, _, _, _, _, _, _, p) -> p) canary_rows in
-  let replay_ok = List.for_all (fun (_, t, m) -> t && m) replay_rows in
-  let pass = canaries_ok && replay_ok in
-  print_endline
-    (if pass then "CHECK PASSED"
-     else Printf.sprintf "CHECK FAILED (root seed 0x%LX)" bench_root);
-  let doc =
-    J.Obj
-      [ J.schema 9;
-        ("bench", J.Str "check");
-        ("root_seed", J.Str (Printf.sprintf "0x%LX" bench_root));
-        ("budget", J.Int check_budget);
-        ("shrink_gate", J.fnum ~dp:2 check_shrink_gate);
-        ( "canaries",
-          J.List
-            (List.map
-               (fun (name, run, points, dt, orig, mn, ratio, still, p) ->
-                  J.Obj
-                    [ ("name", J.Str name);
-                      ("found_run", J.Int run);
-                      ("points", J.Int points);
-                      ("time_to_find_s", J.fnum dt);
-                      ("shrink_orig", J.Int orig);
-                      ("shrink_min", J.Int mn);
-                      ("shrink_ratio", J.fnum ratio);
-                      ("still_fails", J.Bool still);
-                      ("pass", J.Bool p) ])
-               canary_rows) );
-        ( "replay",
-          J.List
-            (List.map
-               (fun (name, t, m) ->
-                  J.Obj
-                    [ ("scenario", J.Str name);
-                      ("times", J.Int check_replay_times);
-                      ("trace_bit_for_bit", J.Bool t);
-                      ("metrics_stable", J.Bool m) ])
-               replay_rows) );
-        ( "throughput",
-          J.Obj
-            [ ("scenario", J.Str tp_sc.Scenario.sc_name);
-              ("schedules", J.Int check_throughput_runs);
-              ("elapsed_s", J.fnum tp_elapsed);
-              ("schedules_per_s", J.fnum ~dp:1 per_s);
-              ("choice_points", J.Int !tp_points) ] );
-        ("pass", J.Bool pass) ]
+  let labels = [ ("scenario", tp_sc.Scenario.sc_name) ] in
+  let throughput =
+    ints "check" [ ("budget", check_budget); ("replay_times", check_replay_times) ]
+    @ ints ~labels "check" [ ("schedules", check_throughput_runs); ("choice_points", !tp_points) ]
+    @ [ J.row ~labels "check.elapsed_s" "s" tp_elapsed;
+        J.row ~dp:1 ~labels "check.schedules_per_s" "1/s" per_s ]
   in
-  J.write ~path:"BENCH_9.json" doc;
-  print_endline "wrote BENCH_9.json";
-  pass
+  let parts = canary_rows @ replay_rows in
+  { rows = List.concat_map (fun r -> r.rows) parts @ throughput;
+    gates = List.concat_map (fun r -> r.gates) parts }
 
-(* Every word the harness understands.  Anything else is rejected rather
-   than ignored, so a typo'd mode cannot silently run the full suite. *)
-let accepted_args =
-  [ "quick"; "--json"; "smoke"; "micro"; "mq"; "batch"; "fuzz"; "check"; "soak";
-    "blk-soak"; "blkperf"; "upgrade-soak"; "upgrade" ]
+(* ---- the default suite ---- *)
 
-let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  (match List.filter (fun a -> not (List.mem a accepted_args)) args with
-   | [] -> ()
-   | unknown ->
-     Printf.eprintf "bench/main.exe: unknown argument(s): %s\naccepted: %s\n"
-       (String.concat " " unknown) (String.concat " " accepted_args);
-     exit 2);
-  let quick = List.mem "quick" args in
-  let json = List.mem "--json" args in
-  if List.mem "micro" args then begin
-    ignore (microbenches () : (string * string * float) list);
-    exit 0
-  end;
-  if List.mem "mq" args then begin
-    let pass = run_netperf_mq ~json:true in
-    exit (if pass then 0 else 1)
-  end;
-  if List.mem "batch" args then begin
-    let pass = run_netperf_batch ~smoke:(quick || List.mem "smoke" args) () in
-    exit (if pass then 0 else 1)
-  end;
-  if List.mem "fuzz" args then begin
-    let pass = run_fuzz () in
-    exit (if pass then 0 else 1)
-  end;
-  if List.mem "check" args then begin
-    let pass = run_check () in
-    exit (if pass then 0 else 1)
-  end;
-  if List.mem "soak" args then begin
-    ignore (recovery_latencies () : Fault_inject.recovery_sample list);
-    let _, ok = run_soak () in
-    exit (if ok then 0 else 1)
-  end;
-  if List.mem "blk-soak" args then begin
-    let n_faults = if List.mem "smoke" args then 40 else 200 in
-    let _, ok = run_blk_soak ~n_faults () in
-    exit (if ok then 0 else 1)
-  end;
-  if List.mem "blkperf" args then begin
-    let pass = run_blkperf () in
-    exit (if pass then 0 else 1)
-  end;
-  if List.mem "upgrade-soak" args then begin
-    let _, ok = run_upgrade_soak () in
-    exit (if ok then 0 else 1)
-  end;
-  if List.mem "upgrade" args then begin
-    let pass = run_upgrade_bench () in
-    exit (if pass then 0 else 1)
-  end;
-  figure5 ();
-  figure6 ();
-  figure7 ();
-  figure9 ();
-  security ();
-  ablation_interrupt_defence ();
-  ablation_defensive_copy ();
-  ablation_batching ();
+let micro_rows micro =
+  List.map
+    (fun (key, _, ns) -> J.row ~dp:1 ~labels:[ ("key", key) ] "micro.ns_per_op" "ns" ns)
+    micro
+
+let run_suite ~smoke =
+  List.iter
+    (fun f -> f ())
+    [ figure5; figure6; figure7; figure9; security; ablation_interrupt_defence;
+      ablation_defensive_copy; ablation_batching ];
   let micro = microbenches () in
   let figure8_rows =
-    if not quick then begin
+    if not smoke then begin
       ablation_itr ();
       figure8 ()
     end
     else begin
       print_endline
-        "\n(quick mode: skipped the netperf sweep — run without 'quick' for Figure 8)";
+        "\n(smoke run: skipped the netperf sweep — run without 'smoke' for Figure 8)";
       []
     end
   in
   let recovery = recovery_latencies () in
-  let guard, guard_pass, guard_drift = trace_overhead_guard micro in
-  if json then
-    write_bench_json ~path:"BENCH_3.json" ~mode:(if quick then "quick" else "full")
-      ~micro ~figure8_rows ~recovery ~guard ~guard_pass ~guard_drift;
-  if not guard_pass then exit 1
+  let guard = trace_overhead_guard micro in
+  { rows =
+      micro_rows micro
+      @ List.concat_map
+          (fun r ->
+             let labels = [ ("test", r.Netperf.test); ("driver", r.Netperf.driver) ] in
+             let m = r.Netperf.measured in
+             [ J.row ~dp:1 ~labels "figure8.throughput" m.Netperf.units m.Netperf.throughput;
+               J.row ~dp:1 ~labels "figure8.cpu_pct" "%" m.Netperf.cpu_pct ])
+          figure8_rows
+      @ recovery_rows recovery @ guard.rows;
+    gates = guard.gates }
+
+(* ---- the runner ---- *)
+
+type mode = { name : string; has_smoke : bool; run : smoke:bool -> result }
+
+let suite = { name = "suite"; has_smoke = true; run = run_suite }
+
+let modes =
+  let full name run = { name; has_smoke = false; run = (fun ~smoke:_ -> run ()) } in
+  [ full "micro" (fun () -> { rows = micro_rows (microbenches ()); gates = [] });
+    full "mq" run_netperf_mq;
+    { name = "batch"; has_smoke = true; run = run_netperf_batch };
+    full "fuzz" run_fuzz;
+    full "check" run_check;
+    full "soak" run_soak;
+    { name = "blk-soak"; has_smoke = true; run = run_blk_soak };
+    full "blkperf" run_blkperf;
+    full "upgrade-soak" run_upgrade_soak;
+    full "upgrade" run_upgrade_bench ]
+
+(* [MODE] [smoke], in either order.  Anything else exits 2 before any
+   mode runs, so a typo cannot silently run the default suite. *)
+let parse args =
+  let fail msg =
+    Printf.eprintf "bench/main.exe: %s\nusage: bench/main.exe [MODE] [smoke]\nmodes: %s\n" msg
+      (String.concat " " (List.map (fun m -> m.name) modes));
+    exit 2
+  in
+  let mode, smoke =
+    List.fold_left
+      (fun (mode, smoke) a ->
+         match List.find_opt (fun m -> m.name = a) modes, mode with
+         | _ when a = "smoke" && not smoke -> (mode, true)
+         | Some m, None -> (Some m, smoke)
+         | Some m, Some prev -> fail (Printf.sprintf "two modes: %s and %s" prev.name m.name)
+         | None, _ -> fail ("unknown or repeated argument: " ^ a))
+      (None, false) args
+  in
+  let mode = Option.value mode ~default:suite in
+  if smoke && not mode.has_smoke then fail (mode.name ^ " has no smoke variant");
+  (mode, smoke)
+
+let show v =
+  if Float.is_integer v then Printf.sprintf "%.0f" v else Printf.sprintf "%.3f" v
+
+let () =
+  let mode, smoke = parse (List.tl (Array.to_list Sys.argv)) in
+  let { rows; gates } = mode.run ~smoke in
+  let pass = all_pass gates in
+  print_newline ();
+  List.iter
+    (fun (g : J.gate) ->
+       Printf.printf "gate %-40s %12s %-2s %-10s %s\n" g.name (show g.value)
+         (J.op_to_string g.op) (show g.bound)
+         (if g.pass then "ok" else Printf.sprintf "FAIL (root seed 0x%LX)" bench_root))
+    gates;
+  if not smoke then begin
+    let dir = Filename.concat "bench" "out" in
+    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    let path = Filename.concat dir (mode.name ^ ".json") in
+    J.write ~path { mode = mode.name; rows; gates; pass };
+    Printf.printf "wrote %s\n" path
+  end;
+  Printf.printf "%s %s: %d of %d gates ok\n" mode.name (if pass then "PASSED" else "FAILED")
+    (List.length (List.filter (fun (g : J.gate) -> g.pass) gates))
+    (List.length gates);
+  exit (if pass then 0 else 1)

@@ -7,8 +7,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let schema n = ("schema", Str (Printf.sprintf "sud-bench/%d" n))
-
 let fnum ?(dp = 3) v =
   if not (Float.is_finite v) then Null
   else begin
@@ -53,9 +51,9 @@ let rec compact = function
         (List.map (fun (k, v) -> "\"" ^ escape k ^ "\": " ^ compact v) fs)
     ^ " }"
 
-(* Sweep-point rows and short arrays stay on one line (the diffable
-   table style of the checked-in baselines); anything wider breaks. *)
-let inline_budget = 120
+(* Rows and short arrays stay on one line (the diffable table style of
+   the checked-in baselines); anything wider breaks. *)
+let inline_budget = 160
 
 let rec render b indent v =
   match v with
@@ -95,11 +93,6 @@ let to_string v =
   render b 0 v;
   Buffer.add_char b '\n';
   Buffer.contents b
-
-let write ~path v =
-  let oc = open_out path in
-  output_string oc (to_string v);
-  close_out oc
 
 (* ---- parsing ---- *)
 
@@ -293,24 +286,127 @@ let of_file path =
   | exception Sys_error e -> Error e
   | s -> (match of_string s with Ok v -> Ok v | Error e -> Error (path ^ ": " ^ e))
 
-(* ---- readers ---- *)
+(* ---- the sud-bench/10 document ---- *)
 
-let member v k =
-  match v with Obj fs -> List.assoc_opt k fs | _ -> None
+let version = "sud-bench/10"
 
-let path v keys = List.fold_left (fun acc k -> Option.bind acc (fun v -> member v k)) (Some v) keys
+type row = { metric : string; labels : (string * string) list; unit : string; value : float }
 
-let as_float = function
-  | Int i -> Some (float_of_int i)
-  | Float f -> Some f
-  | _ -> None
+let round ~dp v = match fnum ~dp v with Float f -> f | _ -> nan
 
-let as_int = function Int i -> Some i | _ -> None
-let as_str = function Str s -> Some s | _ -> None
-let as_bool = function Bool b -> Some b | _ -> None
-let as_list = function List vs -> Some vs | _ -> None
+let row ?(dp = 3) ?(labels = []) metric unit value =
+  { metric; labels; unit; value = round ~dp value }
 
-let find_point points keys =
-  List.find_opt
-    (fun p -> List.for_all (fun (k, v) -> member p k = Some v) keys)
-    points
+type op = Lt | Le | Eq | Ge | Gt
+
+let op_to_string = function Lt -> "<" | Le -> "<=" | Eq -> "==" | Ge -> ">=" | Gt -> ">"
+
+let ops = [ Lt; Le; Eq; Ge; Gt ]
+
+type gate = { name : string; value : float; op : op; bound : float; pass : bool }
+
+(* IEEE comparisons are false on NaN, so a gate fed a missing baseline
+   fails whatever its op. *)
+let gate name value op bound =
+  let pass =
+    match op with
+    | Lt -> value < bound
+    | Le -> value <= bound
+    | Eq -> value = bound
+    | Ge -> value >= bound
+    | Gt -> value > bound
+  in
+  { name; value; op; bound; pass }
+
+type doc = { mode : string; rows : row list; gates : gate list; pass : bool }
+
+(* Whole values print as integers: counts and nanoseconds stay
+   readable, and both forms read back as the same float. *)
+let num v =
+  if Float.is_integer v && Float.abs v < 1e15 then Int (int_of_float v) else fnum ~dp:3 v
+
+let to_json d =
+  let row (r : row) =
+    Obj
+      [ ("metric", Str r.metric);
+        ("labels", Obj (List.map (fun (k, v) -> (k, Str v)) r.labels));
+        ("unit", Str r.unit);
+        ("value", num r.value) ]
+  in
+  let gate (g : gate) =
+    Obj
+      [ ("name", Str g.name); ("value", num g.value); ("op", Str (op_to_string g.op));
+        ("bound", num g.bound); ("pass", Bool g.pass) ]
+  in
+  Obj
+    [ ("schema", Str version); ("mode", Str d.mode); ("rows", List (List.map row d.rows));
+      ("gates", List (List.map gate d.gates)); ("pass", Bool d.pass) ]
+
+(* Field readers for [of_json]; [Bad] says what is wrong where. *)
+exception Bad of string
+
+let get k = function
+  | Obj fs -> (match List.assoc_opt k fs with Some v -> v | None -> raise (Bad ("missing " ^ k)))
+  | _ -> raise (Bad ("no object around " ^ k))
+
+let str k o = match get k o with Str s -> s | _ -> raise (Bad (k ^ " is not a string"))
+let bool k o = match get k o with Bool b -> b | _ -> raise (Bad (k ^ " is not a bool"))
+let list k o = match get k o with List l -> l | _ -> raise (Bad (k ^ " is not a list"))
+
+let float k o =
+  match get k o with
+  | Int i -> float_of_int i
+  | Float f -> f
+  | Null -> nan
+  | _ -> raise (Bad (k ^ " is not a number"))
+
+let of_json v =
+  let label = function
+    | k, Str s -> (k, s)
+    | k, _ -> raise (Bad ("label " ^ k ^ " is not a string"))
+  in
+  let row r =
+    { metric = str "metric" r;
+      labels =
+        (match get "labels" r with
+         | Obj ls -> List.map label ls
+         | _ -> raise (Bad "labels is not an object"));
+      unit = str "unit" r;
+      value = float "value" r }
+  in
+  let gate g =
+    match List.find_opt (fun o -> op_to_string o = str "op" g) ops with
+    | None -> raise (Bad ("unknown op " ^ str "op" g))
+    | Some op ->
+      { name = str "name" g; value = float "value" g; op; bound = float "bound" g;
+        pass = bool "pass" g }
+  in
+  match
+    if str "schema" v <> version then raise (Bad ("schema is not " ^ version));
+    { mode = str "mode" v;
+      rows = List.map row (list "rows" v);
+      gates = List.map gate (list "gates" v);
+      pass = bool "pass" v }
+  with
+  | d -> Ok d
+  | exception Bad e -> Error e
+
+let write ~path d =
+  let oc = open_out path in
+  output_string oc (to_string (to_json d));
+  close_out oc
+
+let read path =
+  Result.bind (of_file path) (fun v -> Result.map_error (( ^ ) (path ^ ": ")) (of_json v))
+
+(* ---- baselines ---- *)
+
+let baseline_file = "bench/baseline.json"
+
+let baseline ?(file = baseline_file) ~metric labels =
+  let same = List.sort compare labels in
+  match read file with
+  | Error _ -> nan
+  | Ok d ->
+    List.find_opt (fun r -> r.metric = metric && List.sort compare r.labels = same) d.rows
+    |> Option.fold ~none:nan ~some:(fun (r : row) -> r.value)

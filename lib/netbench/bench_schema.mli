@@ -1,19 +1,18 @@
-(** The machine-readable bench baseline format ([BENCH_*.json]).
+(** The machine-readable bench format.
 
-    Every harness that emits a baseline builds a {!t} and hands it to
-    {!write}; every gate that reads an earlier baseline goes through
-    {!of_file} + {!path} instead of substring-scanning the file.  The
-    schema is versioned: document [N] carries ["schema": "sud-bench/N"]
-    (see {!schema}), and the parser accepts every version ever checked
-    in, so a new harness can always read the baselines of its
-    predecessors.
+    Every [bench/main.exe] mode produces one {!doc}: flat measurement
+    {!row}s plus the {!gate}s judged on them, written by {!write} as
+    schema ["sud-bench/10"].  The gates' reference values live in one
+    read-only file in the same schema, read through {!baseline}; no mode
+    writes it.
 
-    The printer is deterministic (two-space indent, short collections
-    inlined) and the parser is total on its output: for every [v],
+    The JSON layer underneath is general: the parser reads every
+    document ever checked in, including the frozen [BENCH_1..9.json]
+    history (schemas [sud-bench/1] to [/9]).  The printer is
+    deterministic (two-space indent, short collections inlined) and the
+    parser is total on its output: for every [v],
     [of_string (to_string v) = Ok v] once floats are built through
-    {!fnum} (which rounds to a decimal budget, exactly what a baseline
-    wants anyway — nobody gates on the 15th digit of a throughput
-    sample). *)
+    {!fnum}. *)
 
 type t =
   | Null
@@ -24,22 +23,12 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val schema : int -> string * t
-(** [schema n] is the leading [("schema", Str "sud-bench/n")] field. *)
-
 val fnum : ?dp:int -> float -> t
 (** A float field rounded to [dp] decimal places (default 3).  NaN and
-    infinities become [Null], matching the old emitters' convention for
-    "no estimate". *)
-
-(** {1 Printing} *)
+    infinities become [Null], the convention for "no estimate". *)
 
 val to_string : t -> string
 (** Render with a trailing newline, ready for the file. *)
-
-val write : path:string -> t -> unit
-
-(** {1 Parsing} *)
 
 val of_string : string -> (t, string) result
 (** Full JSON parser (numbers, strings with escapes, nested
@@ -50,24 +39,45 @@ val of_string : string -> (t, string) result
 val of_file : string -> (t, string) result
 (** [Error] on unreadable files as well as unparseable ones. *)
 
-(** {1 Readers} *)
+(** {1 The sud-bench/10 document} *)
 
-val member : t -> string -> t option
-(** Field lookup on an {!Obj}; [None] on missing field or non-object. *)
+type row = {
+  metric : string;                  (** e.g. ["mq.kpps"] *)
+  labels : (string * string) list;  (** the point: e.g. [["queues", "4"]] *)
+  unit : string;
+  value : float;                    (** NaN for "no estimate" *)
+}
 
-val path : t -> string list -> t option
-(** Chained {!member}: [path doc ["micro"; key; "ns_per_op"]]. *)
+val row : ?dp:int -> ?labels:(string * string) list -> string -> string -> float -> row
+(** [row ?dp ?labels metric unit value], [value] rounded to [dp] decimal
+    places (default 3). *)
 
-val as_float : t -> float option
-(** {!Int} or {!Float} as a number; everything else [None]. *)
+type op = Lt | Le | Eq | Ge | Gt
 
-val as_int : t -> int option
-val as_str : t -> string option
-val as_bool : t -> bool option
-val as_list : t -> t list option
+val op_to_string : op -> string
 
-val find_point : t list -> (string * t) list -> t option
-(** [find_point points keys] is the first {!Obj} in [points] whose
-    fields match every [(name, value)] in [keys] — the "row of the
-    sweep table" lookup every gate needs, e.g.
-    [find_point pts ["queues", Int 4]]. *)
+type gate = { name : string; value : float; op : op; bound : float; pass : bool }
+
+val gate : string -> float -> op -> float -> gate
+(** [gate name value op bound] passes iff [value op bound] holds.  A NaN
+    value, which is what a missing baseline yields, fails every op. *)
+
+type doc = { mode : string; rows : row list; gates : gate list; pass : bool }
+
+val to_json : doc -> t
+val of_json : t -> (doc, string) result
+
+val write : path:string -> doc -> unit
+
+val read : string -> (doc, string) result
+(** Parse a file as a [sud-bench/10] document; [Error] for any other
+    schema. *)
+
+(** {1 Baselines} *)
+
+val baseline : ?file:string -> metric:string -> (string * string) list -> float
+(** [baseline ~metric labels] is the value of the row of [file] (default
+    ["bench/baseline.json"], relative to the repository root) with that
+    metric and exactly those labels, in any order.
+    NaN when the file, the row or its value is missing, so any {!gate}
+    computed from it fails: there is no fallback value. *)

@@ -406,13 +406,14 @@ let udp_batch_rx ~queues ~batch =
 let batch_sweep ?(points = [ (1, 1); (1, 32); (8, 1); (8, 32) ]) () =
   List.map (fun (queues, batch) -> udp_batch_rx ~queues ~batch) points
 
-type row = { test : string; driver : string; value : string; cpu : string }
+type row = { test : string; driver : string; value : string; cpu : string; measured : result }
 
 let row_of test mode (r : result) =
   { test;
     driver = mode_name mode;
     value = Printf.sprintf "%.0f %s" r.throughput r.units;
-    cpu = Printf.sprintf "%.0f%%" (r.cpu_pct +. 0.5) }
+    cpu = Printf.sprintf "%.0f%%" (r.cpu_pct +. 0.5);
+    measured = r }
 
 let figure8 () =
   List.concat_map

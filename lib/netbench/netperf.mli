@@ -115,7 +115,13 @@ val batch_sweep : ?points:(int * int) list -> unit -> batch_point list
 (** [udp_batch_rx] at each (queues, batch) point
     (default (1,1)/(1,32)/(8,1)/(8,32)). *)
 
-type row = { test : string; driver : string; value : string; cpu : string }
+type row = {
+  test : string;
+  driver : string;
+  value : string;     (** throughput as printed, e.g. ["941 Mbits/sec"] *)
+  cpu : string;       (** CPU% as printed *)
+  measured : result;  (** the numbers behind both *)
+}
 
 val figure8 : unit -> row list
 (** All eight rows of Figure 8 (4 tests x kernel/SUD). *)
