@@ -427,9 +427,9 @@ let run_soak () =
   (* Trace the whole storm: the export must show at least one injected
      DMA violation causally linked back to a uchan RPC and forward to the
      restart that recovered from it. *)
-  (* The storm is over in the first ~4 s but the sim drains traffic for
-     ~30 s more; the ring must span the whole run or the chain of an
-     injected fault is evicted by tail-end heartbeat spans. *)
+  (* The storm emits ~105k spans, far more than the default ring holds;
+     the ring must span the whole run or the chain of an early injected
+     fault is evicted by later spans. *)
   Sud_obs.Trace.set_capacity (1 lsl 19);
   Sud_obs.Trace.set_enabled true;
   let r = Fault_inject.soak ~seed:soak_seed ~n_faults:200 ~duration_ms:4_000 () in
@@ -601,9 +601,8 @@ let blkperf_point ~depth ~read_pct =
     (blkperf_write_pages + ((depth + 1) * blkperf_read_region)) * Blkdev.page_sectors
   in
   let w = Fault_inject.make_blk_world ~capacity () in
-  (* The measurement is over well inside 2 s of simulated time; a longer
-     bound would only add idle watchdog ticks per point. *)
-  Fault_inject.in_world ~scenario:"blkperf" ~max_ms:2_000 w.Fault_inject.bw_k (fun () ->
+  (* The measurement is over well inside 2 s of simulated time. *)
+  Kernel.run_main w.Fault_inject.bw_k ~name:"blkperf" ~max_ms:2_000 (fun () ->
       let k = w.Fault_inject.bw_k in
       let eng = w.Fault_inject.bw_eng in
       let _, bd, _ =

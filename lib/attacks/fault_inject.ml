@@ -218,18 +218,6 @@ let make_blk_world ?capacity () =
   let sp = Safe_pci.init k in
   { bw_eng = eng; bw_k = k; bw_sp = sp; bw_nvme = nvme; bw_bdf = bdf }
 
-(* The engine runs to [max_ms] even after [main] returns, so watchdog
-   ticks and in-flight work keep firing exactly as in a longer run. *)
-let in_world ~scenario ~max_ms k main =
-  let eng = k.Kernel.eng in
-  let result = ref None in
-  ignore
-    (Process.spawn_fiber (Process.kernel_process k.Kernel.procs) ~name:scenario (fun () ->
-         result := Some (main ()))
-     : Fiber.t);
-  Engine.run ~max_time:(Engine.now eng + (max_ms * ms)) eng;
-  match !result with Some r -> r | None -> failwith (scenario ^ " did not complete")
-
 (* ---- seed plumbing and schedule capture ---- *)
 
 (* Every harness default seed below derives from this one root, so a
@@ -250,16 +238,17 @@ type sched_summary = {
   ss_dump : string option;
 }
 
-(* [in_world] under an optional scheduler, with the run's fingerprint:
-   [body] returns its violations and the report to build around the
-   fingerprint, which is taken once the engine has run to [max_ms].  A
-   run that violated an invariant also dumps a replayable schedule file
-   under traces/, so the failure is a repro, not an anecdote. *)
+(* [Kernel.run_main] under an optional scheduler, with the run's
+   fingerprint: [body] returns its violations and the report to build
+   around the fingerprint, which is taken at the instant [body] returns
+   (the runner halts the engine there).  A run that violated an
+   invariant also dumps a replayable schedule file under traces/, so the
+   failure is a repro, not an anecdote. *)
 let run_recorded ~scenario ~seed ?sched ~max_ms k body =
   let eng = k.Kernel.eng in
   let spec = Option.value ~default:Sched.Fifo sched in
   let rec_ = Option.map (fun s -> Sched.install eng s) sched in
-  let violations, report = in_world ~scenario ~max_ms k body in
+  let violations, report = Kernel.run_main k ~name:scenario ~max_ms body in
   let r =
     match rec_ with
     | Some r -> r
@@ -660,7 +649,7 @@ let probe ~scenario ~warm ~label eng sv inject_once =
 
 let measure_net ~scenario ~warm fault =
   let w = make_world () in
-  in_world ~scenario ~max_ms:30_000 w.k (fun () ->
+  Kernel.run_main w.k ~name:scenario ~max_ms:30_000 (fun () ->
       let policy = (if warm then warm_policy else soak_policy) ~max_restarts:10 in
       let sv, dev, _ = supervise ~scenario ~policy w in
       let tr = start_traffic w dev ~gap_ns:200_000 in
@@ -686,7 +675,7 @@ type quarantine_report = {
 let crash_loop ?(max_restarts = 3) () =
   let scenario = "crash_loop" in
   let w = make_world () in
-  in_world ~scenario ~max_ms:30_000 w.k (fun () ->
+  Kernel.run_main w.k ~name:scenario ~max_ms:30_000 (fun () ->
       let sv, dev, _ = supervise ~scenario ~policy:(soak_policy ~max_restarts) w in
       let quarantined () = Supervisor.state sv = Supervisor.Quarantined in
       (* Kill every fresh generation as soon as it comes up. *)
@@ -956,10 +945,9 @@ let blk_soak ?sched ?seed ?(n_faults = 200) ?(duration_ms = 6_000) ?plan () =
 let measure_blk ~scenario ~warm fault =
   let w = make_blk_world () in
   let eng = w.bw_eng in
-  (* Injection at 5 ms, recovery waited on for at most ~2 s: a 10 s
-     sim bound keeps the engine from idling through minutes of
-     watchdog ticks after the sample is taken. *)
-  in_world ~scenario ~max_ms:10_000 w.bw_k (fun () ->
+  (* Injection at 5 ms, recovery waited on for at most ~2 s: 10 s of
+     simulated time is ample before the run counts as stuck. *)
+  Kernel.run_main w.bw_k ~name:scenario ~max_ms:10_000 (fun () ->
       let policy = (if warm then warm_policy else soak_policy) ~max_restarts:10 in
       let sv, bd, _ = supervise_blk ~scenario ~policy w in
       let stop = ref false in

@@ -156,13 +156,6 @@ val make_blk_world : ?capacity:int -> unit -> blk_world
     sectors — the media is sparse, so large devices are free),
     safe-PCI initialised. *)
 
-val in_world : scenario:string -> max_ms:int -> Kernel.t -> (unit -> 'a) -> 'a
-(** The world runner: run [main] in a kernel fiber of the world's kernel
-    and drive the engine to [max_ms] simulated milliseconds — past
-    [main]'s return, so the watchdog keeps ticking as in a longer run.
-    Fails with ["<scenario> did not complete"] if [main] has not
-    returned by then. *)
-
 val secret : string
 (** The canary written to a kernel page; containment means no driver
     death may ever have touched it. *)
@@ -263,12 +256,12 @@ val run_recorded :
   Kernel.t ->
   (unit -> string list * (sched_summary -> 'a)) ->
   'a
-(** {!in_world} under [sched] (installed before [body] starts), with the
-    run's fingerprint.  [body] returns its violations and a report
-    builder; once the engine has run to [max_ms] the fingerprint is
-    taken, the schedule dumped to [traces/] if the violations are
-    non-empty, and the builder applied to it.  Shared with
-    {!Proto_fuzz}. *)
+(** {!Kernel.run_main} under [sched] (installed before [body] starts),
+    with the run's fingerprint.  [body] returns its violations and a
+    report builder; the fingerprint is taken where the runner halted, at
+    the instant [body] returned, the schedule dumped to [traces/] if the
+    violations are non-empty, and the builder applied to it.  [max_ms]
+    is the runner's deadlock bound.  Shared with {!Proto_fuzz}. *)
 
 (** {1 Soak} *)
 

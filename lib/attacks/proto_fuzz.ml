@@ -270,7 +270,7 @@ type quarantine_report = {
 let quarantine_campaign ?(max_restarts = 3) () =
   let scenario = "proto_quarantine" in
   let w = Fault_inject.make_world () in
-  Fault_inject.in_world ~scenario ~max_ms:30_000 w.Fault_inject.k (fun () ->
+  Kernel.run_main w.Fault_inject.k ~name:scenario ~max_ms:30_000 (fun () ->
       let open Fault_inject in
       let sv, dev, ctx = supervise ~scenario ~policy:(soak_policy ~max_restarts) w in
       let tr = start_traffic w dev ~gap_ns:400_000 in

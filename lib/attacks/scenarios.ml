@@ -39,17 +39,7 @@ let make_world ?iommu_mode ?(enable_acs = true) () =
   let sp = Safe_pci.init k in
   { eng; k; sp; medium; nic; victim; bdf; victim_bdf; snoop }
 
-(* Run [main] as a fiber and drive the engine; returns its result. *)
-let in_world w main =
-  let result = ref None in
-  ignore
-    (Process.spawn_fiber (Process.kernel_process w.k.Kernel.procs) ~name:"scenario" (fun () ->
-         result := Some (main ()))
-     : Fiber.t);
-  Engine.run ~max_time:(Engine.now w.eng + 5_000_000_000) w.eng;
-  match !result with
-  | Some r -> r
-  | None -> failwith "scenario did not complete"
+let in_world w main = Kernel.run_main w.k ~name:"scenario" ~max_ms:5_000 main
 
 let secret = "TOPSECRET-CRYPTOKEY-0xDEADBEEF"
 
@@ -691,46 +681,39 @@ let io_port_scan () =
   Ioport.register k.Kernel.ioports ~base:0x60 ~len:4
     ~read:(fun ~off:_ ~size:_ -> 0x5A)
     ~write:(fun ~off:_ ~size:_ _ -> ());
-  let result = ref None in
-  ignore
-    (Process.spawn_fiber (Process.kernel_process k.Kernel.procs) ~name:"scenario" (fun () ->
-         let sp = Safe_pci.init k in
-         Safe_pci.register_device sp bdf;
-         Safe_pci.set_owner sp bdf ~uid:1000;
-         let proc = Process.spawn k.Kernel.procs ~name:"mal-ne2k" ~uid:1000 in
-         let grant =
-           match Safe_pci.open_device sp bdf ~proc with
-           | Ok g -> g
-           | Error e -> failwith e
-         in
-         (match Safe_pci.enable_device grant with Ok () -> () | Error e -> failwith e);
-         let pio =
-           match Safe_pci.claim_io grant ~bar:0 with Ok p -> p | Error e -> failwith e
-         in
-         (* Own ports work... *)
-         let own = pio.Driver_api.pio_read ~off:0 ~size:1 in
-         ignore own;
-         (* ...but the IOPB grants only the device's BAR range, so reaching
-            port 0x60 through it is out of range by construction, and the
-            raw port space rejects the process's IOPB. *)
-         let gp =
-           match
-             Ioport.read k.Kernel.ioports ~iopb:(Ioport.Iopb.none ()) ~port:0x60 ~size:1
-           with
-           | _ -> false
-           | exception Ioport.General_protection _ -> true
-         in
-         result :=
-           Some
-             { attack = "IO-port scan beyond the granted BAR";
-               config = "SUD IO-permission bitmap";
-               contained = gp;
-               evidence =
-                 (if gp then "access to port 0x60 raised #GP; only the NIC's own ports answer"
-                  else "foreign port readable — IOPB breach") })
-     : Fiber.t);
-  Engine.run ~max_time:1_000_000_000 eng;
-  Option.get !result
+  Kernel.run_main k ~name:"scenario" ~max_ms:1_000 (fun () ->
+      let sp = Safe_pci.init k in
+      Safe_pci.register_device sp bdf;
+      Safe_pci.set_owner sp bdf ~uid:1000;
+      let proc = Process.spawn k.Kernel.procs ~name:"mal-ne2k" ~uid:1000 in
+      let grant =
+        match Safe_pci.open_device sp bdf ~proc with
+        | Ok g -> g
+        | Error e -> failwith e
+      in
+      (match Safe_pci.enable_device grant with Ok () -> () | Error e -> failwith e);
+      let pio =
+        match Safe_pci.claim_io grant ~bar:0 with Ok p -> p | Error e -> failwith e
+      in
+      (* Own ports work... *)
+      let own = pio.Driver_api.pio_read ~off:0 ~size:1 in
+      ignore own;
+      (* ...but the IOPB grants only the device's BAR range, so reaching
+         port 0x60 through it is out of range by construction, and the
+         raw port space rejects the process's IOPB. *)
+      let gp =
+        match
+          Ioport.read k.Kernel.ioports ~iopb:(Ioport.Iopb.none ()) ~port:0x60 ~size:1
+        with
+        | _ -> false
+        | exception Ioport.General_protection _ -> true
+      in
+      { attack = "IO-port scan beyond the granted BAR";
+        config = "SUD IO-permission bitmap";
+        contained = gp;
+        evidence =
+          (if gp then "access to port 0x60 raised #GP; only the NIC's own ports answer"
+           else "foreign port readable — IOPB breach") })
 
 (* ---- 13. downcall flood ---- *)
 

@@ -14,7 +14,7 @@ let state_name = function
    fiber of it. *)
 let with_nvme ~scenario ~max_ms ~policy f =
   let w = Fault_inject.make_blk_world () in
-  Fault_inject.in_world ~scenario ~max_ms w.Fault_inject.bw_k (fun () ->
+  Kernel.run_main w.Fault_inject.bw_k ~name:scenario ~max_ms (fun () ->
       let sv, bd, _ = Fault_inject.supervise_blk ~scenario ~policy w in
       f w sv bd)
 
@@ -123,10 +123,8 @@ let trace_chain =
     ("sup", "restart") ]
 
 let trace_smoke ~out =
-  (* Size the ring for the whole run: the interesting spans happen in the
-     first couple of simulated milliseconds and must survive the seconds
-     of post-recovery traffic that follow. *)
-  Sud_obs.Trace.set_capacity (1 lsl 19);
+  (* The run stops once recovery is measured, so its few hundred spans
+     fit the default ring. *)
   Sud_obs.Trace.set_enabled true;
   let r = Fault_inject.(measure_recovery Dma_violation) in
   Sud_obs.Trace.set_enabled false;
@@ -181,7 +179,7 @@ let row ~cls sv =
 let driver_list () =
   let scenario = "driver list" in
   let w = Fault_inject.make_blk_world () in
-  Fault_inject.in_world ~scenario ~max_ms:5_000 w.Fault_inject.bw_k (fun () ->
+  Kernel.run_main w.Fault_inject.bw_k ~name:scenario ~max_ms:5_000 (fun () ->
       let k = w.Fault_inject.bw_k in
       let eng = w.Fault_inject.bw_eng in
       (* One device of each class behind the same class-indexed launch

@@ -65,9 +65,14 @@ let attach_pci t ?switch dev =
     (Bus.string_of_bdf bdf);
   bdf
 
-let run ?ms t =
-  match ms with
-  | None -> Engine.run t.eng
-  | Some ms -> Engine.run ~max_time:(Engine.now t.eng + (ms * 1_000_000)) t.eng
+let run_main t ~name ~max_ms main =
+  let result = ref None in
+  ignore
+    (Process.spawn_fiber (Process.kernel_process t.procs) ~name (fun () ->
+         result := Some (main ());
+         Engine.halt t.eng)
+     : Fiber.t);
+  Engine.run ~max_time:(Engine.now t.eng + (max_ms * 1_000_000)) t.eng;
+  match !result with Some r -> r | None -> failwith (name ^ " did not complete")
 
 let uptime_ns t = Engine.now t.eng

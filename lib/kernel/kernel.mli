@@ -36,8 +36,11 @@ val attach_pci : t -> ?switch:Pci_topology.switch -> Device.t -> Bus.bdf
 (** Attach a device to the fabric (root ports when [switch] is omitted)
     and publish it in sysfs. *)
 
-val run : ?ms:int -> t -> unit
-(** Convenience: run the engine for the given simulated milliseconds
-    (default: until idle). *)
+val run_main : t -> name:string -> max_ms:int -> (unit -> 'a) -> 'a
+(** The world runner: run [main] in a kernel fiber named [name] and drive
+    the engine until [main] returns, then stop ({!Engine.halt}) with the
+    clock at that instant; nothing queued after it fires.  [max_ms]
+    simulated milliseconds from now is only the deadlock bound: fails
+    with ["<name> did not complete"] if [main] has not returned by then. *)
 
 val uptime_ns : t -> int

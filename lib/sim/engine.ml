@@ -30,6 +30,7 @@ type t = {
   root_rng : Rng.t;
   mutable steps : int;
   mutable thash : int64;
+  mutable halted : bool;
   mutable picker : (step:int -> ready:int -> int) option;
   mutable observer : (step:int -> time:int -> ready:int -> pick:int -> unit) option;
 }
@@ -47,6 +48,7 @@ let create ?(seed = 1L) () =
     root_rng = Rng.create ~seed;
     steps = 0;
     thash = 0x5D0_C4ECL;
+    halted = false;
     picker = None;
     observer = None }
 
@@ -205,6 +207,8 @@ let schedule_now t fn = schedule_after t 0 fn
 
 let cancel h = h.cancelled <- true
 
+let halt t = t.halted <- true
+
 let pending t = t.hlen + t.rlen
 
 (* Fingerprint the fired (time, seq) stream.  Two runs that fire the same
@@ -224,7 +228,7 @@ let fire t (ev : handle) =
 let run_policy pick ~max_time ~max_events t =
   let fired = ref 0 in
   let continue_ = ref true in
-  while !continue_ && !fired < max_events do
+  while !continue_ && !fired < max_events && not t.halted do
     ring_compact t;
     if t.rlen > 0 then begin
       if t.now > max_time then continue_ := false
@@ -259,6 +263,7 @@ let run_policy pick ~max_time ~max_events t =
   done
 
 let run ?(max_time = max_int) ?(max_events = max_int) t =
+  t.halted <- false;
   match t.picker with
   | Some pick -> run_policy pick ~max_time ~max_events t
   | None ->
@@ -267,7 +272,7 @@ let run ?(max_time = max_int) ?(max_events = max_int) t =
        cancelled. *)
     let fired = ref 0 in
     let continue_ = ref true in
-    while !continue_ && !fired < max_events do
+    while !continue_ && !fired < max_events && not t.halted do
       if t.rlen > 0 then begin
         if t.now > max_time then continue_ := false
         else begin

@@ -42,9 +42,16 @@ val cancel : handle -> unit
     its time; with a picker installed it never moves the clock. *)
 
 val run : ?max_time:int -> ?max_events:int -> t -> unit
-(** Process events until the queue is empty or a limit is hit.  [max_time]
-    stops the clock from advancing past the given instant (events at later
-    times remain queued). *)
+(** Process events until the queue is empty, a limit is hit or an event
+    calls {!halt}.  [max_time] stops the clock from advancing past the
+    given instant (events at later times remain queued). *)
+
+val halt : t -> unit
+(** Make the current {!run} return once the event calling it has
+    finished, with the clock still at that event's instant.  One-shot:
+    the next {!run} clears it on entry and resumes exactly where this
+    one stopped, so a halted-then-resumed run fires the same events as
+    an uninterrupted one. *)
 
 val pending : t -> int
 (** Events queued in either tier, cancelled ones included until they

@@ -156,21 +156,22 @@ let test_shrink () =
         | Ok r -> Alcotest.(check bool) "min repro replays bit-for-bit" true r.Check.rp_ok))
 
 (* Golden schedule pins: engine steps and trace hash of two fixed runs,
-   recorded with the binary-heap engine that the two-tier queue replaced.
+   recorded with the binary-heap engine that the two-tier queue replaced,
+   at the instant each soak's body returned (the runner halts there).
    Any change to which events fire, or in what order, fails here. *)
 let test_golden_pins () =
   let sc = Option.get (Scenario.find "mini-soak") in
   let oc = sc.Scenario.sc_run ~sched:(Sched.Random { seed = 0x5EEDL; p_preempt = 20 }) ~seed:0x50A4L in
   Alcotest.(check (list string)) "mini soak clean" [] oc.Scenario.oc_failures;
-  Alcotest.(check int) "mini soak (random picker) steps" 912_598 oc.oc_steps;
+  Alcotest.(check int) "mini soak (random picker) steps" 100_430 oc.oc_steps;
   Alcotest.(check int) "mini soak choice points" 164 oc.oc_points;
-  Alcotest.(check int64) "mini soak trace hash" 0x95cbf6c7e1a10413L oc.oc_trace_hash;
+  Alcotest.(check int64) "mini soak trace hash" 0x34aba13c50de5bf9L oc.oc_trace_hash;
   (* No scheduler installed: the FIFO path without a picker. *)
   let r = Fault_inject.blk_soak ~seed:0xB10CL ~n_faults:4 ~duration_ms:100 () in
   Alcotest.(check (list string)) "blk soak clean" [] r.Fault_inject.bsr_violations;
   Alcotest.(check int) "blk soak (FIFO) choice points" 0 r.bsr_sched.ss_points;
-  Alcotest.(check int) "blk soak steps" 3_536_593 r.bsr_sched.ss_steps;
-  Alcotest.(check int64) "blk soak trace hash" 0x767978ce8852e1f6L r.bsr_sched.ss_trace_hash
+  Alcotest.(check int) "blk soak steps" 225_362 r.bsr_sched.ss_steps;
+  Alcotest.(check int64) "blk soak trace hash" 0x0f09116454228ff6L r.bsr_sched.ss_trace_hash
 
 (* ddmin on a synthetic oracle: minimal subset, monotone test count. *)
 let test_ddmin_synthetic () =

@@ -129,7 +129,7 @@ let test_traced_warm_failover () =
        let scenario = "traced warm failover" in
        let w = Fault_inject.make_world () in
        let eng = w.Fault_inject.eng in
-       Fault_inject.in_world ~scenario ~max_ms:1_000 w.Fault_inject.k (fun () ->
+       Kernel.run_main w.Fault_inject.k ~name:scenario ~max_ms:1_000 (fun () ->
            let sv, _, _ =
              Fault_inject.supervise ~scenario ~policy:(Fault_inject.warm_policy ~max_restarts:10) w
            in

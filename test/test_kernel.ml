@@ -8,16 +8,6 @@ let with_kernel fn =
   let k = Kernel.boot eng in
   fn eng k
 
-let in_fiber eng k fn =
-  let ok = ref false in
-  ignore
-    (Process.spawn_fiber (Process.kernel_process k.Kernel.procs) ~name:"t" (fun () ->
-         fn ();
-         ok := true)
-     : Fiber.t);
-  Engine.run ~max_time:(Engine.now eng + 10_000_000_000) eng;
-  Alcotest.(check bool) "fiber completed" true !ok
-
 (* ---- klog ---- *)
 
 let test_klog () =
@@ -82,8 +72,8 @@ let test_rlimit () =
 (* ---- preempt ---- *)
 
 let test_preempt_tracking () =
-  with_kernel (fun eng k ->
-      in_fiber eng k (fun () ->
+  with_kernel (fun _ k ->
+      Kernel.run_main k ~name:"t" ~max_ms:10_000 (fun () ->
           let pr = k.Kernel.preempt in
           Alcotest.(check bool) "not atomic initially" false (Preempt.in_atomic pr);
           Preempt.with_atomic pr (fun () ->
@@ -95,8 +85,8 @@ let test_preempt_tracking () =
           Preempt.assert_may_sleep pr "ok now"))
 
 let test_spinlock () =
-  with_kernel (fun eng k ->
-      in_fiber eng k (fun () ->
+  with_kernel (fun _ k ->
+      Kernel.run_main k ~name:"t" ~max_ms:10_000 (fun () ->
           let pr = k.Kernel.preempt in
           let l = Preempt.Spinlock.create pr in
           Preempt.Spinlock.with_lock l (fun () ->

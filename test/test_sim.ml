@@ -307,15 +307,24 @@ let drive prog ~schedule ~cancel ~run ~now =
        run ph ~max_time)
     prog.phases
 
-let run_engine prog =
+(* The event firing as step [s] for [s] in [halts] calls [Engine.halt];
+   each phase's [run] is then resumed, with what is left of its event
+   limit, until it ends on its own.  [at_halt] is false if a halted [run]
+   returned anywhere but just after its halting event. *)
+let run_engine ?(halts = []) prog =
   let eng = Engine.create () in
   let tr = new_trace () in
   let handles = Hashtbl.create 64 in
+  let halted = ref None and at_halt = ref true in
   let schedule d seq body =
     Hashtbl.replace handles seq
       (Engine.schedule_after eng d (fun () ->
            tr.fired <- (Engine.now eng, seq) :: tr.fired;
-           body ()))
+           body ();
+           if List.mem (Engine.steps eng) halts then begin
+             halted := Some (Engine.steps eng, Engine.now eng);
+             Engine.halt eng
+           end))
   in
   let cancel seq = Engine.cancel (Hashtbl.find handles seq) in
   let run ph ~max_time =
@@ -326,11 +335,22 @@ let run_engine prog =
          (Some (fun ~step ~ready -> tr.picks <- (step, ready) :: tr.picks; pick_of seed ~step ~ready));
        Engine.set_observer eng
          (Some (fun ~step ~time ~ready ~pick -> tr.observed <- (step, time, ready, pick) :: tr.observed)));
-    Engine.run ?max_time ?max_events:ph.event_limit eng;
+    let steps0 = Engine.steps eng in
+    let rec go () =
+      halted := None;
+      let max_events = Option.map (fun n -> n - (Engine.steps eng - steps0)) ph.event_limit in
+      Engine.run ?max_time ?max_events eng;
+      match !halted with
+      | Some at ->
+        if at <> (Engine.steps eng, Engine.now eng) then at_halt := false;
+        go ()
+      | None -> ()
+    in
+    go ();
     tr.clocks <- Engine.now eng :: tr.clocks
   in
   drive prog ~schedule ~cancel ~run ~now:(fun () -> Engine.now eng);
-  (tr, Engine.steps eng)
+  (tr, Engine.steps eng, Engine.trace_hash eng, !at_halt)
 
 type mev = { m_time : int; m_seq : int; mutable m_cancelled : bool; m_fn : unit -> unit }
 
@@ -467,7 +487,7 @@ let qcheck_cases =
     QCheck.Test.make ~name:"engine matches the sorted-list reference model" ~count:500
       (QCheck.make ~print:show_program gen_program)
       (fun prog ->
-         let a, sa = run_engine prog and b, sb = run_model prog in
+         let a, sa, _, _ = run_engine prog and b, sb = run_model prog in
          let pairs l = String.concat " " (List.rev_map (fun (x, y) -> Printf.sprintf "%d/%d" x y) l) in
          if a.fired <> b.fired then
            QCheck.Test.fail_reportf "fired (time/seq)\nengine %s\nmodel  %s" (pairs a.fired) (pairs b.fired)
@@ -475,7 +495,19 @@ let qcheck_cases =
            QCheck.Test.fail_reportf "picker calls (step/ready)\nengine %s\nmodel  %s" (pairs a.picks)
              (pairs b.picks)
          else
-           a.observed = b.observed && a.clocks = b.clocks && sa = sb) ]
+           a.observed = b.observed && a.clocks = b.clocks && sa = sb);
+    (* Halting is invisible to the schedule: a run halted at random steps
+       and resumed each time fires what one uninterrupted run fires, on
+       the FIFO and the picker path alike. *)
+    QCheck.Test.make ~name:"engine halt then resume equals one run" ~count:500
+      (QCheck.make
+         ~print:(fun (p, hs) ->
+             show_program p ^ " halts=" ^ String.concat "," (List.map string_of_int hs))
+         QCheck.Gen.(pair gen_program (list_size (int_range 1 12) (int_range 1 event_cap))))
+      (fun (prog, halts) ->
+         let a, sa, ha, _ = run_engine prog and b, sb, hb, at_halt = run_engine ~halts prog in
+         at_halt && a.fired = b.fired && a.picks = b.picks && a.observed = b.observed
+         && a.clocks = b.clocks && sa = sb && ha = hb) ]
 
 let suite =
   [ Alcotest.test_case "engine: ordering" `Quick test_engine_ordering;

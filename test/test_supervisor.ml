@@ -24,16 +24,7 @@ let make_world () =
   let sp = Safe_pci.init k in
   { eng; k; sp; bdf; medium }
 
-let in_world w main =
-  let result = ref None in
-  ignore
-    (Process.spawn_fiber (Process.kernel_process w.k.Kernel.procs) ~name:"test-sup"
-       (fun () -> result := Some (main ()))
-     : Fiber.t);
-  Engine.run ~max_time:(30_000 * 1_000_000) w.eng;
-  match !result with
-  | Some r -> r
-  | None -> Alcotest.fail "supervisor test fiber did not complete"
+let in_world w main = Kernel.run_main w.k ~name:"test-sup" ~max_ms:30_000 main
 
 let settle w ms = ignore (Fiber.sleep w.eng (ms * 1_000_000) : Fiber.wake)
 
@@ -298,7 +289,7 @@ let test_hang_heartbeat () =
 let run_unhooked faults =
   let scenario = "unhooked plan" in
   let w = Fault_inject.make_world () in
-  Fault_inject.in_world ~scenario ~max_ms:1_000 w.Fault_inject.k (fun () ->
+  Kernel.run_main w.Fault_inject.k ~name:scenario ~max_ms:1_000 (fun () ->
       let sv, _, _ =
         Fault_inject.supervise ~scenario ~policy:(Fault_inject.soak_policy ~max_restarts:10) w
       in
@@ -326,8 +317,22 @@ let test_runner_names_scenario () =
   let w = Fault_inject.make_blk_world () in
   Alcotest.check_raises "failure names the scenario" (Failure "stuck probe did not complete")
     (fun () ->
-       Fault_inject.in_world ~scenario:"stuck probe" ~max_ms:1 w.Fault_inject.bw_k (fun () ->
+       Kernel.run_main w.Fault_inject.bw_k ~name:"stuck probe" ~max_ms:1 (fun () ->
            ignore (Fiber.sleep w.Fault_inject.bw_eng 10_000_000 : Fiber.wake)))
+
+(* The runner stops where the body returns: without the halt, the
+   supervisor's 1 ms watchdog ticks would carry the clock on to the 1 s
+   deadlock bound. *)
+let test_runner_halts_at_return () =
+  let w = make_world () in
+  let returned_at =
+    Kernel.run_main w.k ~name:"halt probe" ~max_ms:1_000 (fun () ->
+        ignore (start_supervised w : Supervisor.t);
+        settle w 5;
+        Engine.now w.eng)
+  in
+  Alcotest.(check bool) "body ran past the 5 ms sleep" true (returned_at >= 5_000_000);
+  Alcotest.(check int) "clock stopped at the body's return" returned_at (Engine.now w.eng)
 
 let test_crash_loop_quarantine () =
   let q = Fault_inject.crash_loop ~max_restarts:2 () in
@@ -457,6 +462,8 @@ let suite =
       test_dma_violation_needs_hook;
     Alcotest.test_case "world runner failure names the scenario" `Quick
       test_runner_names_scenario;
+    Alcotest.test_case "world runner halts when the body returns" `Quick
+      test_runner_halts_at_return;
     Alcotest.test_case "soak: overtaken corruption not flagged" `Quick
       test_overtaken_corruption_not_flagged;
     Alcotest.test_case "soak: carried corruption must count malformed" `Quick

@@ -6,16 +6,6 @@ let with_kernel fn =
   let k = Kernel.boot eng in
   fn eng k
 
-let in_fiber eng k fn =
-  let ok = ref false in
-  ignore
-    (Process.spawn_fiber (Process.kernel_process k.Kernel.procs) ~name:"t" (fun () ->
-         fn ();
-         ok := true)
-     : Fiber.t);
-  Engine.run ~max_time:(Engine.now eng + 30_000_000_000) eng;
-  Alcotest.(check bool) "fiber completed" true !ok
-
 (* ---- msg ---- *)
 
 let test_msg_roundtrip () =
@@ -110,7 +100,7 @@ let test_bufpool_validation () =
 (* ---- uchan RPC semantics ---- *)
 
 let test_uchan_sync_upcall () =
-  with_kernel (fun eng k ->
+  with_kernel (fun _ k ->
       let chan = Uchan.create k ~driver_label:"d" () in
       let proc = Process.spawn k.Kernel.procs ~name:"drv" ~uid:1000 in
       ignore
@@ -125,7 +115,7 @@ let test_uchan_sync_upcall () =
              in
              serve ())
          : Fiber.t);
-      in_fiber eng k (fun () ->
+      Kernel.run_main k ~name:"t" ~max_ms:30_000 (fun () ->
           match Uchan.transfer chan ~from:`Kernel Uchan.Sync (Msg.make ~kind:4 ~args:[ 21 ] ()) with
           | Ok r -> Alcotest.(check int) "doubled" 42 (Msg.arg r 0)
           | Error _ -> Alcotest.fail "sync send failed"))
@@ -135,7 +125,7 @@ let test_uchan_hang_detection () =
       let chan = Uchan.create k ~driver_label:"d" () in
       (* No driver fiber at all: the upcall must come back Hung within the
          timeout, not block forever. *)
-      in_fiber eng k (fun () ->
+      Kernel.run_main k ~name:"t" ~max_ms:30_000 (fun () ->
           let t0 = Engine.now eng in
           (match Uchan.transfer chan ~from:`Kernel Uchan.Sync (Msg.make ~kind:1 ()) with
            | Error Uchan.Hung -> ()
