@@ -13,7 +13,13 @@
    The issuer is attachable/detachable at runtime: while detached
    (driver being restarted) requests park in the staging queue and
    dispatch resumes on re-attach, so the cache never observes the
-   recovery window. *)
+   recovery window.
+
+   Waiting is shaped like Linux's: each batch has its own completion
+   that wakes only the fiber waiting on it (submit_bio_wait's on-stack
+   completion), and a device keeps one deadline timer for all its
+   parked waiters, armed at the earliest deadline and only ever moved
+   earlier (blk-mq's per-queue timeout timer). *)
 
 let sector_size = 512
 let page_sectors = 8
@@ -48,6 +54,15 @@ type page = {
   mutable pg_ver : int;              (* bumped per write; guards writeback races *)
 }
 
+(* A fiber parked in [run_bios] until its batch lands or its deadline
+   passes. *)
+type waiter = {
+  w_deadline : int;
+  mutable w_fiber : Fiber.t option;  (* set only while parked *)
+  mutable w_left : int;              (* requests of the batch not yet completed *)
+  mutable w_failed : int option;     (* first nonzero completion status *)
+}
+
 type t = {
   eng : Engine.t;
   name : string;
@@ -59,7 +74,8 @@ type t = {
   mutable outstanding : int;
   mutable flush_pending : bool;      (* a Flush is dispatched: barrier *)
   mutable head_pos : int;            (* C-LOOK elevator position *)
-  done_wait : Sync.Waitq.t;
+  mutable waiters : waiter list;     (* parked in [run_bios], newest first *)
+  mutable timer : (int * Engine.handle) option;   (* armed deadline *)
   m_cache_hits : Sud_obs.Metrics.counter;
   m_cache_misses : Sud_obs.Metrics.counter;
   m_merges : Sud_obs.Metrics.counter;
@@ -81,7 +97,8 @@ let create ~eng ~name ?(queue_depth = default_queue_depth) ?(capacity = 0) () =
       outstanding = 0;
       flush_pending = false;
       head_pos = 0;
-      done_wait = Sync.Waitq.create ();
+      waiters = [];
+      timer = None;
       m_cache_hits =
         Sud_obs.Metrics.counter ~labels:[ "dev", name ] ~subsystem:"blk"
           ~name:"cache_hits" ();
@@ -191,7 +208,6 @@ let rec dispatch t =
                  t.outstanding <- t.outstanding - 1;
                  if r.rq_op = Flush then t.flush_pending <- false;
                  (match inner with Some f -> f ~status | None -> ());
-                 ignore (Sync.Waitq.broadcast t.done_wait : int);
                  dispatch t);
           issue r;
           dispatch t
@@ -215,40 +231,91 @@ let detach t = t.issue <- None
 
 (* ---- fiber-blocking waits ---- *)
 
-let wait_until t ~timeout_ns cond =
-  let deadline = Engine.now t.eng + timeout_ns in
-  let rec loop () =
-    if cond () then true
-    else begin
-      let left = deadline - Engine.now t.eng in
-      if left <= 0 then false
-      else
-        match Sync.Waitq.wait_timeout t.eng t.done_wait left with
-        | Fiber.Interrupted -> false
-        | Fiber.Normal | Fiber.Timeout -> loop ()
-    end
+let wake w why = Option.iter (fun f -> ignore (Fiber.wake f why : bool)) w.w_fiber
+
+(* The device timer: arm it at [deadline] unless it already fires no
+   later.  When it fires it times out every waiter whose deadline has
+   passed, oldest first, and re-arms for the earliest one left. *)
+let rec arm_timer t deadline =
+  match t.timer with
+  | Some (armed, _) when armed <= deadline -> ()
+  | armed ->
+    Option.iter (fun (_, h) -> Engine.cancel h) armed;
+    let h = Engine.schedule_after t.eng (deadline - Engine.now t.eng) (fun () -> expire t) in
+    t.timer <- Some (deadline, h)
+
+and expire t =
+  t.timer <- None;
+  let now = Engine.now t.eng in
+  let next =
+    List.fold_left
+      (fun next w ->
+         if w.w_deadline <= now then begin
+           wake w Fiber.Timeout;
+           next
+         end
+         else min next w.w_deadline)
+      max_int (List.rev t.waiters)
   in
-  loop ()
+  if next < max_int then arm_timer t next
+
+(* One parked stretch: filed on the device (arming its timer) for as
+   long as the fiber is suspended, and off it again however the fiber
+   resumes — a kill unwinds through here and takes the entry with it. *)
+let park t w =
+  let unpark () =
+    w.w_fiber <- None;
+    t.waiters <- List.filter (fun x -> x != w) t.waiters
+  in
+  match
+    Fiber.suspend (fun fiber ->
+        w.w_fiber <- Some fiber;
+        t.waiters <- w :: t.waiters;
+        arm_timer t w.w_deadline)
+  with
+  | why ->
+    unpark ();
+    why
+  | exception e ->
+    unpark ();
+    raise e
+
+(* Wait for [w]'s batch: done is checked first, whatever woke us, so a
+   batch that landed before the wait, or in the instant it timed out,
+   still counts. *)
+let rec await t w =
+  if w.w_left = 0 then true
+  else if Engine.now t.eng >= w.w_deadline then false
+  else
+    match park t w with
+    | Fiber.Interrupted -> false
+    | Fiber.Normal | Fiber.Timeout -> await t w
 
 let default_timeout_ns = 5_000_000_000
 
 (* Submit a batch, unplug, wait for all to land. *)
 let run_bios t ~timeout_ns reqs =
-  let left = ref (List.length reqs) and failed = ref None in
+  let w =
+    { w_deadline = Engine.now t.eng + timeout_ns;
+      w_fiber = None;
+      w_left = List.length reqs;
+      w_failed = None }
+  in
   List.iter
     (fun r ->
        let inner = r.rq_done in
        r.rq_done <-
          Some
            (fun ~status ->
-              decr left;
-              if status <> 0 && !failed = None then failed := Some status;
-              match inner with Some f -> f ~status | None -> ());
+              w.w_left <- w.w_left - 1;
+              if status <> 0 && w.w_failed = None then w.w_failed <- Some status;
+              (match inner with Some f -> f ~status | None -> ());
+              if w.w_left = 0 then wake w Fiber.Normal);
        submit_bio t r)
     reqs;
   unplug t;
-  if not (wait_until t ~timeout_ns (fun () -> !left = 0)) then Error "block io timed out"
-  else match !failed with
+  if not (await t w) then Error "block io timed out"
+  else match w.w_failed with
     | Some st -> Error (Printf.sprintf "block io failed (status %d)" st)
     | None -> Ok ()
 
@@ -380,7 +447,8 @@ let fsync t ?(timeout_ns = default_timeout_ns) () =
     run_bios t ~timeout_ns [ barrier ]
 
 (* Write-through: durable when it returns, no flush needed.  The cache is
-   updated too so subsequent reads hit. *)
+   updated too so subsequent reads hit; its pages stay dirty, so the next
+   fsync writes them back again. *)
 let write_fua t ?(timeout_ns = default_timeout_ns) ~lba data () =
   match write t ~timeout_ns ~lba data () with
   | Error e -> Error e
@@ -390,18 +458,14 @@ let write_fua t ?(timeout_ns = default_timeout_ns) ~lba data () =
       { rq_op = Write; rq_fua = true; rq_lba = lba; rq_count = sectors;
         rq_data = Bytes.copy data; rq_done = None }
     in
-    (match run_bios t ~timeout_ns [ r ] with
-     | Error e -> Error e
-     | Ok () ->
-       (* Those sectors are durable; clean their pages if fully covered
-          and unchanged since (conservative: only full-page spans). *)
-       Ok ())
+    run_bios t ~timeout_ns [ r ]
 
 let dirty_pages t =
   Hashtbl.fold (fun _ pg n -> if pg.pg_dirty then n + 1 else n) t.cache 0
 
 let staged_requests t = List.length t.staging
 let outstanding_requests t = t.outstanding
+let parked_waiters t = List.length t.waiters
 
 let metrics t =
   ( Sud_obs.Metrics.get t.m_cache_hits,

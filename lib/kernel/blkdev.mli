@@ -58,7 +58,13 @@ val submit_bio : t -> request -> unit
 
 val unplug : t -> unit
 
-(** {2 Cache operations} — fiber-blocking, with an IO timeout. *)
+(** {2 Cache operations} — fiber-blocking, with an IO timeout.
+
+    Each call waits on its own batch: a completion wakes only the fiber
+    whose batch it finished, and all of a device's waiters share one
+    deadline timer.  A call returns [Ok] once its batch has landed,
+    "block io timed out" at [timeout_ns] after it was issued (or
+    earlier, if the waiting fiber is interrupted). *)
 
 val read :
   t -> ?timeout_ns:int -> lba:int -> sectors:int -> unit -> (bytes, string) result
@@ -75,6 +81,9 @@ val write_fua : t -> ?timeout_ns:int -> lba:int -> bytes -> unit -> (unit, strin
 val dirty_pages : t -> int
 val staged_requests : t -> int
 val outstanding_requests : t -> int
+
+val parked_waiters : t -> int
+(** Fibers parked in a cache operation, waiting for their batch. *)
 
 val metrics : t -> int * int * int * int
 (** (cache_hits, cache_misses, merges, flush_barriers). *)

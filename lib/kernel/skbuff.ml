@@ -41,8 +41,6 @@ let checksum_sub b ~off ~len =
   done;
   lnot !sum land 0xFFFF
 
-let checksum b = checksum_sub b ~off:0 ~len:(Bytes.length b)
-
 (* Word-at-a-time internet checksum.  RFC 1071 §2(B): the ones'-
    complement sum is byte-order independent, so we accumulate unaligned
    little-endian 16-bit loads (four per iteration) and byte-swap the
@@ -73,6 +71,8 @@ let checksum_sub_words b ~off ~len =
   done;
   let swapped = ((!sum land 0xFF) lsl 8) lor (!sum lsr 8) in
   lnot swapped land 0xFFFF
+
+let checksum b = checksum_sub_words b ~off:0 ~len:(Bytes.length b)
 
 (* The fused defensive-copy + checksum pass (paper §3.1.2): one memcpy
    of the untrusted source into a private destination, then the verdict

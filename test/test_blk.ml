@@ -168,6 +168,163 @@ let test_recovery_pins () =
         (Drop_flush, 1_000_000, 610_744);
         (Crash_mid_barrier, 947_232, 614_704) ]
 
+(* A bare block device whose fake issuer completes each request
+   [delay r] ns after it is issued; [Some 0] completes it inside the
+   issue call, [None] never. *)
+let fake_blkdev eng ~delay =
+  let bd = Blkdev.create ~eng ~name:"fake" ~queue_depth:64 ~capacity:(1 lsl 20) () in
+  Blkdev.attach bd (fun r ->
+      match delay r with
+      | None -> ()
+      | Some 0 -> Blkdev.complete r ~status:0
+      | Some d ->
+        ignore
+          (Engine.schedule_after eng d (fun () -> Blkdev.complete r ~status:0)
+           : Engine.handle));
+  bd
+
+(* Suspensions the calling fiber goes through while [f] runs. *)
+let parks_of f =
+  let e0 = Fiber.epoch (Fiber.self ()) in
+  let v = f () in
+  (v, Fiber.epoch (Fiber.self ()) - e0)
+
+(* 16 fibers issue 256 cold reads to a device that serves one request
+   at a time, in issue order: a completion wakes only the fiber whose
+   batch it finished, so each fiber parks exactly once per read, and
+   the device holds one timer for all of them instead of one per park. *)
+let test_no_herd () =
+  let eng = Engine.create () in
+  let busy_until = ref 0 in
+  let serial _ =
+    busy_until := max !busy_until (Engine.now eng) + 1_000;
+    Some (!busy_until - Engine.now eng)
+  in
+  let bd = fake_blkdev eng ~delay:serial in
+  let fibers = 16 and per = 16 in
+  let parks = Array.make fibers 0 and finished = ref 0 and pending = ref (-1) in
+  for i = 0 to fibers - 1 do
+    ignore
+      (Fiber.spawn eng (fun () ->
+           for j = 0 to per - 1 do
+             let lba = ((j * fibers) + i) * Blkdev.page_sectors in
+             let r, n =
+               parks_of (fun () -> Blkdev.read bd ~lba ~sectors:Blkdev.page_sectors ())
+             in
+             ignore (ok_or_fail "read" r : bytes);
+             parks.(i) <- parks.(i) + n
+           done;
+           incr finished;
+           if !finished = fibers then begin
+             pending := Engine.pending eng;
+             Engine.halt eng
+           end)
+       : Fiber.t)
+  done;
+  Engine.run eng;
+  Alcotest.(check int) "every fiber finished" fibers !finished;
+  Array.iteri
+    (fun i n -> Alcotest.(check int) (Printf.sprintf "fiber %d parks" i) per n)
+    parks;
+  Alcotest.(check bool) (Printf.sprintf "pending events %d <= 2" !pending) true
+    (!pending <= 2);
+  Alcotest.(check int) "no waiter left parked" 0 (Blkdev.parked_waiters bd)
+
+(* What happens to one waiter of the timeout oracle: its read completes
+   [d] ns after issue, never, or it is interrupted or killed [k] ns
+   after issue (its read then lands late, at [2k]). *)
+type fate = Completes of int | Never | Interrupt of int | Kill of int
+
+let pp_fate = function
+  | Completes d -> Printf.sprintf "completes@%d" d
+  | Never -> "never"
+  | Interrupt k -> Printf.sprintf "interrupt@%d" k
+  | Kill k -> Printf.sprintf "kill@%d" k
+
+(* (start, timeout_ns, fate); a completion never ties a deadline, and an
+   interrupt or kill comes strictly between parking and the deadline. *)
+let gen_waiter =
+  let open QCheck.Gen in
+  let* start = int_range 0 50_000 in
+  let* timeout = oneof [ int_range 1 1_000; int_range 1_000 200_000 ] in
+  let* kind = int_bound 5 and* d = int_range 0 300_000 and* k = int_range 1 300_000 in
+  let d = if d = timeout then d + 1 else d in
+  let fate =
+    match kind with
+    | 0 | 1 | 2 -> Completes d
+    | 3 -> Never
+    | _ ->
+      if timeout < 2 then Never
+      else
+        let k = 1 + (k mod (timeout - 1)) in
+        if kind = 4 then Interrupt k else Kill k
+  in
+  return (start, timeout, fate)
+
+let arb_waiters =
+  QCheck.make
+    ~print:
+      QCheck.Print.(
+        list (fun (s, t, f) -> Printf.sprintf "start=%d timeout=%d %s" s t (pp_fate f)))
+    QCheck.Gen.(list_size (int_range 1 12) gen_waiter)
+
+(* Each waiter's read: [Ok] at the instant its batch completes if that
+   comes first (without parking if it completed inside the issue call),
+   otherwise "block io timed out" at exactly start + timeout_ns — also
+   when a later waiter's shorter deadline falls before an earlier
+   waiter's longer one.  An interrupt fails the read at that instant;
+   a kill leaves nothing parked behind. *)
+let timeout_oracle =
+  QCheck.Test.make ~name:"blkdev waits: completion, deadline, interrupt, kill" ~count:300
+    arb_waiters
+    (fun ws ->
+       let ws = Array.of_list ws in
+       let eng = Engine.create () in
+       let fate_of_page r = let _, _, f = ws.(r.Blkdev.rq_lba / Blkdev.page_sectors) in f in
+       let bd =
+         fake_blkdev eng ~delay:(fun r ->
+             match fate_of_page r with
+             | Completes d -> Some d
+             | Never -> None
+             | Interrupt k | Kill k -> Some (k * 2))
+       in
+       let got = Array.make (Array.length ws) None in
+       Array.iteri
+         (fun i (start, timeout_ns, fate) ->
+            let f =
+              Fiber.spawn eng (fun () ->
+                  ignore (Fiber.sleep eng start : Fiber.wake);
+                  let r, parks =
+                    parks_of (fun () ->
+                        Blkdev.read bd ~timeout_ns ~lba:(i * Blkdev.page_sectors)
+                          ~sectors:Blkdev.page_sectors ())
+                  in
+                  got.(i) <- Some (Result.map (fun _ -> ()) r, Engine.now eng, parks))
+            in
+            match fate with
+            | Interrupt k ->
+              ignore
+                (Engine.schedule_after eng (start + k) (fun () ->
+                     ignore (Fiber.interrupt f : bool))
+                 : Engine.handle)
+            | Kill k ->
+              ignore (Engine.schedule_after eng (start + k) (fun () -> Fiber.kill f)
+                      : Engine.handle)
+            | Completes _ | Never -> ())
+         ws;
+       Engine.run eng;
+       let timed_out = Error "block io timed out" in
+       let expect (start, timeout, fate) =
+         match fate with
+         | Completes 0 -> Some (Ok (), start, 0)
+         | Completes d when d < timeout -> Some (Ok (), start + d, 1)
+         | Completes _ | Never -> Some (timed_out, start + timeout, 1)
+         | Interrupt k -> Some (timed_out, start + k, 1)
+         | Kill _ -> None
+       in
+       Array.for_all2 (fun w g -> expect w = g) ws got
+       && Blkdev.parked_waiters bd = 0)
+
 let suite =
   [ Alcotest.test_case "sud-blk: hosted nvme serves write/fsync/read" `Quick test_smoke;
     Alcotest.test_case "sud-blk: FUA is write-through" `Quick test_fua;
@@ -176,4 +333,6 @@ let suite =
       test_dropped_flush;
     Alcotest.test_case "sud-blk: corrupt completion cannot fake durability" `Quick
       test_corrupt_completion;
-    Alcotest.test_case "sud-blk: cold recovery latency pins" `Quick test_recovery_pins ]
+    Alcotest.test_case "sud-blk: cold recovery latency pins" `Quick test_recovery_pins;
+    Alcotest.test_case "blkdev: a completion wakes only its own waiter" `Quick test_no_herd;
+    QCheck_alcotest.to_alcotest timeout_oracle ]

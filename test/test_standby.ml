@@ -354,8 +354,8 @@ let test_warm_net_recovery_pins () =
 let test_upgrade_soak_pin () =
   let r = Fault_inject.upgrade_soak ~seed:0x0F6L ~interleavings:4 () in
   Alcotest.(check (list string)) "no violations" [] r.Fault_inject.usr_violations;
-  Alcotest.(check int) "steps" 9_492 r.usr_sched.ss_steps;
-  Alcotest.(check int64) "trace hash" 0x6fc7d1b692799e9cL r.usr_sched.ss_trace_hash;
+  Alcotest.(check int) "steps" 9_421 r.usr_sched.ss_steps;
+  Alcotest.(check int64) "trace hash" 0x028ce23e2a35bb20L r.usr_sched.ss_trace_hash;
   Alcotest.(check int) "upgrades" 2 r.usr_upgrades;
   Alcotest.(check int) "warm swaps" 3 r.usr_warm_swaps;
   Alcotest.(check int) "cold restarts" 0 r.usr_cold_restarts;
