@@ -146,7 +146,10 @@ let tcp_stream ?rig mode =
           with
           | Error _ -> ()
           | Ok st ->
-            (* 16384-byte sends into an 87380-ish window, as netperf does. *)
+            (* 16384-byte sends, as netperf does, into the fixed
+               [Netstack.stream_window] of 131072 bytes, not netperf's
+               87380-byte default socket buffer (ROADMAP.md item 4,
+               wire-true framing). *)
             let chunk = Bytes.make 16384 's' in
             let rec pump () =
               match Netstack.stream_send rig.peer.Kernel.net st chunk with

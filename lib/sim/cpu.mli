@@ -1,7 +1,7 @@
 (** A pool of CPU cores with busy-time accounting.
 
     {!consume} charges CPU time to the calling fiber: the fiber occupies the
-    earliest-free core and blocks until the work completes, so CPU
+    earliest-free core and waits until the work completes, so CPU
     contention naturally delays other consumers.  Busy time is accumulated
     globally and per label, which is how the benchmarks report the "CPU %"
     column of Figure 8. *)
@@ -15,9 +15,12 @@ val cost_model : t -> Cost_model.t
 val engine : t -> Engine.t
 
 val consume : t -> label:string -> int -> unit
-(** Charge [ns] of CPU to [label]; the current fiber blocks until the work
-    is done (including any queueing delay for a free core).  Zero or
-    negative cost is a no-op.  Not interruptible. *)
+(** Charge [ns] of CPU to [label]; the current fiber does not continue
+    until the work is done (including any queueing delay for a free
+    core).  The wait is a {!Fiber.sleep}, so when nothing else can run
+    before the work ends it returns without suspending, the clock moved
+    on in place.  Zero or negative cost is a no-op.  Not
+    interruptible. *)
 
 val account : t -> label:string -> int -> unit
 (** Record busy time without blocking — for costs incurred by pure event

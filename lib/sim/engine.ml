@@ -31,6 +31,13 @@ type t = {
   mutable steps : int;
   mutable thash : int64;
   mutable halted : bool;
+  (* Limits of the [run] in progress: the clock may not pass [horizon]
+     and [steps] may not pass [step_limit].  [run] restores both on
+     return; [horizon] is [-1] outside any [run], which keeps {!advance}
+     from applying there. *)
+  mutable horizon : int;
+  mutable step_limit : int;
+  mutable advanced : int;
   mutable picker : (step:int -> ready:int -> int) option;
   mutable observer : (step:int -> time:int -> ready:int -> pick:int -> unit) option;
 }
@@ -49,12 +56,16 @@ let create ?(seed = 1L) () =
     steps = 0;
     thash = 0x5D0_C4ECL;
     halted = false;
+    horizon = -1;
+    step_limit = 0;
+    advanced = 0;
     picker = None;
     observer = None }
 
 let now t = t.now
 let rng t = t.root_rng
 let steps t = t.steps
+let advanced t = t.advanced
 let trace_hash t = t.thash
 let set_picker t p = t.picker <- p
 let set_observer t o = t.observer <- o
@@ -214,21 +225,45 @@ let pending t = t.hlen + t.rlen
 (* Fingerprint the fired (time, seq) stream.  Two runs that fire the same
    events in the same order — the definition of an identical schedule —
    produce the same hash; any reordering diverges at the first swap. *)
-let fire t (ev : handle) =
+let count t seq =
   t.steps <- t.steps + 1;
   t.thash <-
     Rng.mix
       (Int64.add
          (Int64.mul t.thash 0x100000001B3L)
-         (Int64.of_int (t.now lxor (ev.seq * 0x9E3779B9))));
+         (Int64.of_int (t.now lxor (seq * 0x9E3779B9))))
+
+let fire t (ev : handle) =
+  count t ev.seq;
   ev.fn ()
+
+(* A lone timer at [now + delay] followed by the resume it queues there:
+   with the ring empty and nothing in the heap due by then, the two would
+   fire back to back, each alone in its ready set.  Account for them
+   without queueing either.  Cancelled events in the heap count as due,
+   so a cancelled event that would move the FIFO clock blocks this too. *)
+let advance t delay =
+  let time = t.now + delay in
+  if delay > 0 && t.rlen = 0
+     && (t.hlen = 0 || t.htime.(0) > time)
+     && delay <= t.horizon - t.now
+     && t.steps + 2 <= t.step_limit
+     && not t.halted
+  then begin
+    t.now <- time;
+    count t (t.seq + 1);
+    count t (t.seq + 2);
+    t.seq <- t.seq + 2;
+    t.advanced <- t.advanced + 1;
+    true
+  end
+  else false
 
 (* Picker path: the ready set is the ring's uncancelled events, in seq
    order.  The picker chooses one; the rest stay queued in place. *)
-let run_policy pick ~max_time ~max_events t =
-  let fired = ref 0 in
+let run_policy pick ~max_time t =
   let continue_ = ref true in
-  while !continue_ && !fired < max_events && not t.halted do
+  while !continue_ && t.steps < t.step_limit && not t.halted do
     ring_compact t;
     if t.rlen > 0 then begin
       if t.now > max_time then continue_ := false
@@ -245,9 +280,7 @@ let run_policy pick ~max_time ~max_events t =
             i
           end
         in
-        let ev = ring_remove t idx in
-        incr fired;
-        fire t ev
+        fire t (ring_remove t idx)
       end
     end
     else begin
@@ -262,27 +295,34 @@ let run_policy pick ~max_time ~max_events t =
     end
   done
 
-let run ?(max_time = max_int) ?(max_events = max_int) t =
-  t.halted <- false;
-  match t.picker with
-  | Some pick -> run_policy pick ~max_time ~max_events t
-  | None ->
-    (* FIFO: drain the ring, then stage the next instant.  Reaching an
-       instant advances the clock even if every event there was
-       cancelled. *)
-    let fired = ref 0 in
-    let continue_ = ref true in
-    while !continue_ && !fired < max_events && not t.halted do
-      if t.rlen > 0 then begin
-        if t.now > max_time then continue_ := false
-        else begin
-          let ev = ring_pop t in
-          if not ev.cancelled then begin
-            incr fired;
-            fire t ev
-          end
-        end
+(* FIFO: drain the ring, then stage the next instant.  Reaching an
+   instant advances the clock even if every event there was cancelled. *)
+let run_fifo ~max_time t =
+  let continue_ = ref true in
+  while !continue_ && t.steps < t.step_limit && not t.halted do
+    if t.rlen > 0 then begin
+      if t.now > max_time then continue_ := false
+      else begin
+        let ev = ring_pop t in
+        if not ev.cancelled then fire t ev
       end
-      else if t.hlen > 0 && t.htime.(0) <= max_time then t.now <- stage t
-      else continue_ := false
-    done
+    end
+    else if t.hlen > 0 && t.htime.(0) <= max_time then t.now <- stage t
+    else continue_ := false
+  done
+
+(* Both loops count [max_events] from [steps], so the events {!advance}
+   accounts for count exactly like fired ones. *)
+let run ?(max_time = max_int) ?(max_events = max_int) t =
+  let horizon = t.horizon and step_limit = t.step_limit in
+  t.halted <- false;
+  t.horizon <- max_time;
+  t.step_limit <- (if max_events >= max_int - t.steps then max_int else t.steps + max_events);
+  Fun.protect
+    ~finally:(fun () ->
+        t.horizon <- horizon;
+        t.step_limit <- step_limit)
+    (fun () ->
+       match t.picker with
+       | Some pick -> run_policy pick ~max_time t
+       | None -> run_fifo ~max_time t)

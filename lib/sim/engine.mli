@@ -44,7 +44,27 @@ val cancel : handle -> unit
 val run : ?max_time:int -> ?max_events:int -> t -> unit
 (** Process events until the queue is empty, a limit is hit or an event
     calls {!halt}.  [max_time] stops the clock from advancing past the
-    given instant (events at later times remain queued). *)
+    given instant (events at later times remain queued).  [max_events]
+    bounds the growth of {!steps} during this call, so the two events
+    each {!advance} accounts for count exactly like fired ones. *)
+
+val advance : t -> int -> bool
+(** [advance t delay] stands for a timer queued [delay] ns from now
+    whose firing queues one same-instant event, when nothing else can
+    fire before or between the two.  It applies only inside {!run}, when
+    [delay > 0], the current instant has no other event queued, the
+    earliest queued event (cancelled or not) is due strictly after
+    [now + delay], [now + delay] is within [run]'s [max_time], [steps + 2]
+    is within its [max_events] and the engine is not halted.  Then it
+    takes the two events' sequence numbers, adds 2 to {!steps}, mixes
+    both into {!trace_hash} as if fired, moves the clock to
+    [now + delay] and returns [true]; otherwise it changes nothing and
+    returns [false].  Each event would have been alone in its ready
+    set, so no picker is consulted either way.  {!Fiber.sleep} uses it
+    to skip a suspension nothing can interleave with. *)
+
+val advanced : t -> int
+(** How many calls to {!advance} have succeeded on this engine. *)
 
 val halt : t -> unit
 (** Make the current {!run} return once the event calling it has
@@ -82,7 +102,8 @@ val set_observer :
     Only consulted when a picker is installed. *)
 
 val steps : t -> int
-(** Events fired so far (cancelled events are reaped, not counted). *)
+(** Events fired so far, counting the two each successful {!advance}
+    stands for (cancelled events are reaped, not counted). *)
 
 val trace_hash : t -> int64
 (** Streaming fingerprint of the fired [(time, seq)] event stream.  Two

@@ -156,10 +156,21 @@ let epoch t = t.epoch
 
 let wake_epoch t ~epoch w = if t.epoch = epoch then wake t w else false
 
+(* When nothing can fire before the wake instant, suspending changes
+   nothing: the timer and the resume would fire back to back, alone in
+   their ready sets.  [Engine.advance] accounts for both and moves the
+   clock, and the epoch is bumped as a suspension would bump it.  A
+   pending kill must still be delivered by the resume, so a fiber with
+   one always suspends. *)
 let sleep engine ns =
-  suspend (fun fiber ->
-      let epoch = fiber.epoch in
-      ignore
-        (Engine.schedule_after engine ns (fun () ->
-             ignore (wake_epoch fiber ~epoch Normal : bool))
-         : Engine.handle))
+  match !current with
+  | Some t when (not t.pending_kill) && Engine.advance engine ns ->
+    t.epoch <- t.epoch + 1;
+    Normal
+  | Some _ | None ->
+    suspend (fun fiber ->
+        let epoch = fiber.epoch in
+        ignore
+          (Engine.schedule_after engine ns (fun () ->
+               ignore (wake_epoch fiber ~epoch Normal : bool))
+           : Engine.handle))

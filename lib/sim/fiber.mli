@@ -63,7 +63,12 @@ val yield : Engine.t -> unit
 
 val sleep : Engine.t -> int -> wake
 (** Sleep for the given number of nanoseconds; may return early with
-    [Interrupted]. *)
+    [Interrupted].  It stands for a timer event at the wake instant
+    followed by the resume event that timer queues.  When nothing can
+    fire before the resume (see {!Engine.advance}) and no kill is
+    pending, the fiber does not suspend: the clock moves to the wake
+    instant in place, with the same steps, sequence numbers and trace
+    hash as the two events, and [sleep] returns [Normal]. *)
 
 val on_exit : t -> (unit -> unit) -> unit
 (** Register a cleanup to run when the fiber finishes or is killed. *)

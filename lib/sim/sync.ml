@@ -1,28 +1,33 @@
 module Waitq = struct
-  type t = { q : Fiber.t Queue.t }
+  (* Each entry carries the suspension epoch it was filed in.  A waiter
+     that left the wait another way (timeout, interrupt, kill) leaves its
+     entry behind; the epoch keeps a later [signal] from waking the fiber
+     out of whatever it is suspended in by then. *)
+  type t = { q : (Fiber.t * int) Queue.t }
 
   let create () = { q = Queue.create () }
 
-  let wait t = Fiber.suspend (fun fiber -> Queue.push fiber t.q)
+  let wait t = Fiber.suspend (fun fiber -> Queue.push (fiber, Fiber.epoch fiber) t.q)
 
   let wait_timeout engine t ns =
     Fiber.suspend (fun fiber ->
-        Queue.push fiber t.q;
-        (* Capture the suspension epoch: if the fiber is signalled (or
+        (* The same epoch guards the timer: if the fiber is signalled (or
            interrupted) before the deadline, this timer must die with the
            wait instead of waking the fiber's next suspension. *)
         let epoch = Fiber.epoch fiber in
+        Queue.push (fiber, epoch) t.q;
         ignore
           (Engine.schedule_after engine ns (fun () ->
                ignore (Fiber.wake_epoch fiber ~epoch Fiber.Timeout : bool))
            : Engine.handle))
 
-  (* Entries whose fiber was already woken elsewhere (kill, timeout) are
-     stale; [signal] skips them so a signal is never lost to a dead waiter. *)
+  (* Stale entries are skipped, so a signal is never lost to a waiter
+     that already left. *)
   let rec signal t =
     match Queue.take_opt t.q with
     | None -> false
-    | Some fiber -> if Fiber.wake fiber Fiber.Normal then true else signal t
+    | Some (fiber, epoch) ->
+      if Fiber.wake_epoch fiber ~epoch Fiber.Normal then true else signal t
 
   let broadcast t =
     let n = ref 0 in

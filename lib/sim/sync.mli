@@ -25,6 +25,8 @@ module Waitq : sig
   (** Wake all current waiters; returns how many were woken. *)
 
   val waiters : t -> int
+  (** Queued entries, counting those a waiter left behind when its wait
+      ended by timeout, interrupt or kill; {!signal} skips those. *)
 end
 
 module Mutex : sig

@@ -127,6 +127,123 @@ let test_waitq_timeout () =
   Engine.run eng;
   Alcotest.(check bool) "timed out" true (!r = Some Fiber.Timeout)
 
+(* A wait that timed out leaves its entry on the queue.  A later signal
+   must skip that entry rather than end the fiber's next suspension, and
+   must reach the waiter still queued behind it. *)
+let test_waitq_stale_entry () =
+  let eng = Engine.create () in
+  let q = Sync.Waitq.create () in
+  let a = ref [] and b = ref None in
+  ignore
+    (Fiber.spawn eng (fun () ->
+         let w1 = Sync.Waitq.wait_timeout eng q 10_000 in
+         let t1 = Engine.now eng in
+         let w2 = Fiber.sleep eng 100_000 in
+         a := [ (w1, t1); (w2, Engine.now eng) ])
+     : Fiber.t);
+  ignore
+    (Fiber.spawn eng (fun () ->
+         let w = Sync.Waitq.wait q in
+         b := Some (w, Engine.now eng))
+     : Fiber.t);
+  let signalled = ref false in
+  ignore (Engine.schedule_after eng 50_000 (fun () -> signalled := Sync.Waitq.signal q) : Engine.handle);
+  Engine.run eng;
+  Alcotest.(check bool) "signal reached a waiter" true !signalled;
+  Alcotest.(check bool) "A timed out, then slept its full 100us" true
+    (!a = [ (Fiber.Timeout, 10_000); (Fiber.Normal, 110_000) ]);
+  Alcotest.(check bool) "B woken by the signal" true (!b = Some (Fiber.Normal, 50_000))
+
+(* The sleep [Fiber.sleep] stands for: a timer that wakes this one
+   suspension, then the resume it queues.  Written with the public API. *)
+let reference_sleep eng ns =
+  Fiber.suspend (fun fiber ->
+      let epoch = Fiber.epoch fiber in
+      ignore
+        (Engine.schedule_after eng ns (fun () ->
+             ignore (Fiber.wake_epoch fiber ~epoch Fiber.Normal : bool))
+         : Engine.handle))
+
+let test_sleep_in_place () =
+  let eng = Engine.create () in
+  let woke = ref [] in
+  ignore
+    (Fiber.spawn eng (fun () ->
+         List.iter
+           (fun ns ->
+              let w = Fiber.sleep eng ns in
+              woke := (w, Engine.now eng) :: !woke)
+           [ 100; 500 ])
+     : Fiber.t);
+  Engine.run eng;
+  Alcotest.(check bool) "each sleep returns at now + ns" true
+    (List.rev !woke = [ (Fiber.Normal, 100); (Fiber.Normal, 600) ]);
+  Alcotest.(check int) "both taken in place" 2 (Engine.advanced eng);
+  Alcotest.(check int) "nothing left queued" 0 (Engine.pending eng);
+  Alcotest.(check int) "spawn plus two events per sleep" 5 (Engine.steps eng)
+
+let test_sleep_tie () =
+  let eng = Engine.create () in
+  let order = ref [] in
+  ignore
+    (Fiber.spawn eng (fun () ->
+         ignore (Fiber.sleep eng 500 : Fiber.wake);
+         order := "sleeper" :: !order)
+     : Fiber.t);
+  ignore (Engine.schedule_after eng 500 (fun () -> order := "event" :: !order) : Engine.handle);
+  Engine.run eng;
+  Alcotest.(check (list string)) "event at the wake instant fires first" [ "event"; "sleeper" ]
+    (List.rev !order);
+  Alcotest.(check int) "the sleep suspended" 0 (Engine.advanced eng)
+
+(* A sleep that would cross a run's limit suspends; the next run resumes
+   it where one unlimited run would, at the same step and hash. *)
+let test_sleep_across_limit () =
+  let world () =
+    let eng = Engine.create () in
+    let woke = ref None in
+    ignore
+      (Fiber.spawn eng (fun () ->
+           ignore (Fiber.sleep eng 1000 : Fiber.wake);
+           woke := Some (Engine.now eng))
+       : Fiber.t);
+    (eng, woke)
+  in
+  let whole, whole_woke = world () in
+  Engine.run whole;
+  Alcotest.(check int) "unlimited run sleeps in place" 1 (Engine.advanced whole);
+  List.iter
+    (fun (what, first_run) ->
+       let eng, woke = world () in
+       first_run eng;
+       Alcotest.(check (option int)) (what ^ ": still asleep") None !woke;
+       Alcotest.(check int) (what ^ ": timer queued") 1 (Engine.pending eng);
+       Engine.run eng;
+       Alcotest.(check (option int)) (what ^ ": woke on time") !whole_woke !woke;
+       Alcotest.(check int) (what ^ ": steps") (Engine.steps whole) (Engine.steps eng);
+       Alcotest.(check int64) (what ^ ": trace hash") (Engine.trace_hash whole) (Engine.trace_hash eng);
+       Alcotest.(check int) (what ^ ": suspended") 0 (Engine.advanced eng))
+    [ ("max_time", fun eng -> Engine.run ~max_time:999 eng);
+      ("max_events", fun eng -> Engine.run ~max_events:2 eng) ]
+
+(* A fiber that caught a kill still has it pending; its next suspension
+   delivers it again, so such a sleep must not return in place. *)
+let test_sleep_pending_kill () =
+  let eng = Engine.create () in
+  let killed_at = ref [] in
+  let f =
+    Fiber.spawn eng (fun () ->
+        (try ignore (Fiber.suspend ignore : Fiber.wake)
+         with Fiber.Killed -> killed_at := Engine.now eng :: !killed_at);
+        try ignore (Fiber.sleep eng 100 : Fiber.wake)
+        with Fiber.Killed -> killed_at := Engine.now eng :: !killed_at)
+  in
+  ignore (Engine.schedule_after eng 10 (fun () -> Fiber.kill f) : Engine.handle);
+  Engine.run eng;
+  Alcotest.(check (list int)) "kill delivered again at the sleep's end" [ 10; 110 ]
+    (List.rev !killed_at);
+  Alcotest.(check int) "the sleep suspended" 0 (Engine.advanced eng)
+
 let test_mutex_exclusion () =
   let eng = Engine.create () in
   let mu = Sync.Mutex.create () in
@@ -454,6 +571,132 @@ let show_program p =
                (opt ph.time_limit) (opt ph.event_limit))
           p.phases))
 
+(* Fiber.sleep against [reference_sleep]: random programs of 1-4 fibers
+   that sleep, wait and signal on one queue and halt the engine, beside
+   standalone events that signal, interrupt, kill or halt, run in chunks
+   with random limits under FIFO or a picker. *)
+
+type fop = F_sleep of int | F_wait | F_wait_timeout of int | F_signal | F_halt
+
+type fev = E_nop | E_signal | E_interrupt of int | E_kill of int | E_halt
+
+type fprog = {
+  fibers : fop list list;
+  events : (int * fev) list;  (* (time, what) *)
+  f_picker : int option;
+  chunks : (int option * int option) list;  (* (max_time relative to now, max_events) *)
+}
+
+type fresult = {
+  log : (int * int * int * string) list;  (* (fiber, time, op, outcome), newest first *)
+  runs : (int * int) list;  (* (now, steps) after each run *)
+  f_picks : (int * int) list;  (* picker calls (step, ready) *)
+  hash : int64;
+}
+
+let run_fibers ~sleep p =
+  let eng = Engine.create () in
+  let q = Sync.Waitq.create () in
+  let log = ref [] and runs = ref [] and picks = ref [] in
+  Option.iter
+    (fun seed ->
+       Engine.set_picker eng
+         (Some (fun ~step ~ready -> picks := (step, ready) :: !picks; pick_of seed ~step ~ready)))
+    p.f_picker;
+  let wake = function Fiber.Normal -> "normal" | Interrupted -> "interrupted" | Timeout -> "timeout" in
+  let body i ops () =
+    List.iteri
+      (fun j op ->
+         let outcome =
+           match
+             match op with
+             | F_sleep d -> wake (sleep eng d)
+             | F_wait -> wake (Sync.Waitq.wait q)
+             | F_wait_timeout d -> wake (Sync.Waitq.wait_timeout eng q d)
+             | F_signal -> string_of_bool (Sync.Waitq.signal q)
+             | F_halt -> Engine.halt eng; "halt"
+           with
+           | s -> s
+           | exception Fiber.Killed -> "killed"
+         in
+         log := (i, Engine.now eng, j, outcome) :: !log)
+      ops
+  in
+  let fibers = Array.of_list (List.mapi (fun i ops -> Fiber.spawn eng (body i ops)) p.fibers) in
+  let fiber i = fibers.(i mod Array.length fibers) in
+  List.iter
+    (fun (at, ev) ->
+       ignore
+         (Engine.schedule_after eng at (fun () ->
+              match ev with
+              | E_nop -> ()
+              | E_signal -> ignore (Sync.Waitq.signal q : bool)
+              | E_interrupt i -> ignore (Fiber.interrupt (fiber i) : bool)
+              | E_kill i -> Fiber.kill (fiber i)
+              | E_halt -> Engine.halt eng)
+          : Engine.handle))
+    p.events;
+  let run (max_time, max_events) =
+    Engine.run ?max_time:(Option.map (fun d -> Engine.now eng + d) max_time) ?max_events eng;
+    runs := (Engine.now eng, Engine.steps eng) :: !runs
+  in
+  List.iter run p.chunks;
+  (* Drain, resuming after halts; every program is finite. *)
+  run (None, None);
+  while Engine.pending eng > 0 do run (None, None) done;
+  { log = !log; runs = !runs; f_picks = !picks; hash = Engine.trace_hash eng }
+
+let gen_fprog =
+  let open QCheck.Gen in
+  (* Multiples of 100 ns, so wake instants often tie with other events. *)
+  let ns = map (fun k -> 100 * k) (frequency [ (1, return 0); (4, int_range 1 20) ]) in
+  let fop =
+    frequency
+      [ (5, map (fun d -> F_sleep d) ns);
+        (1, return F_wait);
+        (1, map (fun d -> F_wait_timeout d) ns);
+        (1, return F_signal);
+        (1, return F_halt) ]
+  in
+  let fev =
+    frequency
+      [ (2, return E_nop);
+        (2, return E_signal);
+        (1, map (fun i -> E_interrupt i) (int_range 0 3));
+        (1, map (fun i -> E_kill i) (int_range 0 3));
+        (1, return E_halt) ]
+  in
+  let chunk = pair (opt (map (fun k -> 50 * k) (int_range 0 40))) (opt (int_range 0 12)) in
+  map4
+    (fun fibers events f_picker chunks -> { fibers; events; f_picker; chunks })
+    (list_size (int_range 1 4) (list_size (int_range 1 6) fop))
+    (list_size (int_range 0 5) (pair (map (fun k -> 100 * k) (int_range 0 30)) fev))
+    (opt (int_range 0 1000))
+    (list_size (int_range 0 5) chunk)
+
+let show_fprog p =
+  let op = function
+    | F_sleep d -> Printf.sprintf "sleep%d" d
+    | F_wait -> "wait"
+    | F_wait_timeout d -> Printf.sprintf "wait_timeout%d" d
+    | F_signal -> "signal"
+    | F_halt -> "halt"
+  in
+  let ev = function
+    | E_nop -> "nop"
+    | E_signal -> "signal"
+    | E_interrupt i -> Printf.sprintf "interrupt%d" i
+    | E_kill i -> Printf.sprintf "kill%d" i
+    | E_halt -> "halt"
+  in
+  let opt = function None -> "-" | Some v -> string_of_int v in
+  Printf.sprintf "fibers=%s events=%s pick=%s chunks=%s"
+    (String.concat ";" (List.map (fun ops -> String.concat " " (List.map op ops)) p.fibers))
+    (String.concat " " (List.map (fun (t, e) -> Printf.sprintf "%d:%s" t (ev e)) p.events))
+    (opt p.f_picker)
+    (String.concat " "
+       (List.map (fun (t, n) -> Printf.sprintf "t<=%s/n<=%s" (opt t) (opt n)) p.chunks))
+
 (* property tests *)
 
 let qcheck_cases =
@@ -496,6 +739,10 @@ let qcheck_cases =
              (pairs b.picks)
          else
            a.observed = b.observed && a.clocks = b.clocks && sa = sb);
+    QCheck.Test.make ~name:"fiber sleep equals its two-event reference" ~count:1000
+      (QCheck.make ~print:show_fprog gen_fprog)
+      (fun p ->
+         run_fibers ~sleep:Fiber.sleep p = run_fibers ~sleep:reference_sleep p);
     (* Halting is invisible to the schedule: a run halted at random steps
        and resumed each time fires what one uninterrupted run fires, on
        the FIFO and the picker path alike. *)
@@ -520,6 +767,11 @@ let suite =
     Alcotest.test_case "fiber: stale wake dropped" `Quick test_fiber_stale_wake;
     Alcotest.test_case "waitq: FIFO" `Quick test_waitq_fifo;
     Alcotest.test_case "waitq: timeout" `Quick test_waitq_timeout;
+    Alcotest.test_case "waitq: stale entry skipped" `Quick test_waitq_stale_entry;
+    Alcotest.test_case "fiber: sleep in place" `Quick test_sleep_in_place;
+    Alcotest.test_case "fiber: sleep tie suspends" `Quick test_sleep_tie;
+    Alcotest.test_case "fiber: sleep across a run limit" `Quick test_sleep_across_limit;
+    Alcotest.test_case "fiber: sleep with a pending kill" `Quick test_sleep_pending_kill;
     Alcotest.test_case "mutex: exclusion" `Quick test_mutex_exclusion;
     Alcotest.test_case "mailbox: blocking send/recv" `Quick test_mailbox_blocking;
     Alcotest.test_case "cpu: one core serializes" `Quick test_cpu_serializes;
