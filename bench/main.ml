@@ -313,6 +313,17 @@ let microbench_cases () =
   let payload = Bytes.make 1448 'x' in
   let mem = Phys_mem.create ~size:(16 * 1024 * 1024) in
   let sink = ref 0 in
+  (* Eight fibers sleeping 100 ns at staggered phases, so every timer
+     fires alone and resumes its fiber in place. *)
+  let sleepers = Engine.create () in
+  for i = 0 to 7 do
+    ignore
+      (Fiber.spawn sleepers (fun () ->
+           ignore (Fiber.sleep sleepers ((13 * i) + 1) : Fiber.wake);
+           while true do ignore (Fiber.sleep sleepers 100 : Fiber.wake) done)
+       : Fiber.t)
+  done;
+  Engine.run ~max_time:1_000 sleepers;
   [ ( "ring_push_pop",
       "uchan ring push+pop",
       (* The borrowed-slot ring: transport is index arithmetic (marshalling
@@ -352,7 +363,11 @@ let microbench_cases () =
       "phys_mem 1448B write+read",
       fun () ->
         Phys_mem.write mem ~addr:0x2000 payload;
-        ignore (Phys_mem.read mem ~addr:0x2000 ~len:1448 : bytes) ) ]
+        ignore (Phys_mem.read mem ~addr:0x2000 ~len:1448 : bytes) );
+    ( "fiber_sleep",
+      "fiber sleep round trip (8 fibers)",
+      (* One sleep: its timer event and the resume it fires. *)
+      fun () -> Engine.run ~max_events:2 sleepers ) ]
 
 (* One Bechamel OLS estimate of [fn], in ns/op; nan when none was
    produced. *)

@@ -179,7 +179,11 @@ let rec process_tx t q =
         | Some payload ->
           t.partial_tx.(q) <- payload :: t.partial_tx.(q);
           if cmd land txd_cmd_eop <> 0 then begin
-            let frame = Bytes.concat Bytes.empty (List.rev t.partial_tx.(q)) in
+            let frame =
+              match t.partial_tx.(q) with
+              | [ only ] -> only
+              | parts -> Bytes.concat Bytes.empty (List.rev parts)
+            in
             t.partial_tx.(q) <- [];
             t.n_tx <- t.n_tx + 1;
             Net_medium.send t.medium t.port frame

@@ -42,12 +42,10 @@ let send t port frame =
   let arrival = done_at - now + t.latency_ns in
   List.iter
     (fun peer ->
-       if peer != port then begin
-         let copy = Bytes.copy frame in
+       if peer != port then
          ignore
-           (Engine.schedule_after t.eng arrival (fun () -> peer.rx copy)
-            : Engine.handle)
-       end)
+           (Engine.schedule_after t.eng arrival (fun () -> peer.rx frame)
+            : Engine.handle))
     t.ports
 
 let frames_sent t = t.frames

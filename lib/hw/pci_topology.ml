@@ -154,15 +154,19 @@ let source_ok t requester ~claimed =
 (* Find a peer whose MMIO BAR claims [addr] and whose lowest common ancestor
    switch with the requester does not redirect P2P requests upward. *)
 let p2p_victim t requester addr =
-  match mmio_target t addr with
-  | Some (victim, bar, off) when victim.abdf <> requester.abdf ->
-    let req_path = switch_path requester.sw in
-    let vic_path = switch_path victim.sw in
-    let lca = List.find_opt (fun sw -> List.memq sw vic_path) req_path in
-    (match lca with
-     | Some sw when not sw.sacs.p2p_redirect -> Some (victim, bar, off)
-     | Some _ | None -> None)
-  | Some _ | None -> None
+  (* Every BAR is carved from [mmio_window_base, next_mmio), so RAM
+     addresses skip the BAR scan. *)
+  if addr < mmio_window_base || addr >= t.next_mmio then None
+  else
+    match mmio_target t addr with
+    | Some (victim, bar, off) when victim.abdf <> requester.abdf ->
+      let req_path = switch_path requester.sw in
+      let vic_path = switch_path victim.sw in
+      let lca = List.find_opt (fun sw -> List.memq sw vic_path) req_path in
+      (match lca with
+       | Some sw when not sw.sacs.p2p_redirect -> Some (victim, bar, off)
+       | Some _ | None -> None)
+    | Some _ | None -> None
 
 (* Every DMA that reaches the root complex pays for its translation: an
    IOTLB hit is nearly free, a page-table walk is not, passthrough costs
@@ -173,32 +177,37 @@ let translate_charged t ~source ~addr ~dir =
   (match t.dma_charge with Some f -> f how | None -> ());
   result
 
-let dma_common t ~source ~addr ~dir k_peer k_phys k_msi =
-  match find_attached t source with
-  | None ->
-    (* A spoofed requester ID that got past validation: translate under the
-       claimed source's IOMMU domain. *)
-    (match translate_charged t ~source ~addr ~dir with
-     | `Phys p -> k_phys p
-     | `Msi -> k_msi ()
-     | `Fault f -> Error f)
-  | Some requester ->
-    (match p2p_victim t requester addr with
-     | Some (victim, bar, off) ->
-       Sud_obs.Metrics.incr t.pm.pm_p2p;
-       k_peer victim bar off
-     | None ->
-       (match translate_charged t ~source ~addr ~dir with
-        | `Phys p -> k_phys p
-        | `Msi -> k_msi ()
-        | `Fault f -> Error f))
+let dma_translate t ~source ~addr ~dir k_phys k_msi =
+  match translate_charged t ~source ~addr ~dir with
+  | `Phys p -> k_phys p
+  | `Msi -> k_msi ()
+  | `Fault f -> Error f
+
+let dma_routed t requester ~source ~addr ~dir k_peer k_phys k_msi =
+  match p2p_victim t requester addr with
+  | Some (victim, bar, off) ->
+    Sud_obs.Metrics.incr t.pm.pm_p2p;
+    k_peer victim bar off
+  | None -> dma_translate t ~source ~addr ~dir k_phys k_msi
+
+(* [att] is the device issuing the DMA and [source] the requester ID it
+   claims: only a spoofed one needs looking up. *)
+let dma_common t att ~source ~addr ~dir k_peer k_phys k_msi =
+  if source = att.abdf then dma_routed t att ~source ~addr ~dir k_peer k_phys k_msi
+  else
+    match find_attached t source with
+    | None ->
+      (* A spoofed requester ID that got past validation: translate under
+         the claimed source's IOMMU domain. *)
+      dma_translate t ~source ~addr ~dir k_phys k_msi
+    | Some requester -> dma_routed t requester ~source ~addr ~dir k_peer k_phys k_msi
 
 let host_iface_for t att =
   let dma_read ~source ~addr ~len =
     match source_ok t att ~claimed:source with
     | Error f -> Error f
     | Ok () ->
-      dma_common t ~source ~addr ~dir:Bus.Dma_read
+      dma_common t att ~source ~addr ~dir:Bus.Dma_read
         (fun victim bar off ->
            (* Peer-to-peer read: pull bytes out of the victim's registers. *)
            let b = Bytes.create len in
@@ -221,7 +230,7 @@ let host_iface_for t att =
     match source_ok t att ~claimed:source with
     | Error f -> Error f
     | Ok () ->
-      dma_common t ~source ~addr ~dir:Bus.Dma_write
+      dma_common t att ~source ~addr ~dir:Bus.Dma_write
         (fun victim bar off ->
            Bytes.iteri
              (fun i c ->

@@ -85,12 +85,15 @@ let charge_wakeup_since t ~since =
 
 (* ---- transmit ---- *)
 
-let build_frame ~dst ~src ~payload =
-  let b = Bytes.create (eth_hdr + Bytes.length payload) in
+(* A transmitted frame in one allocation: the Ethernet header, room for
+   an [hdr]-byte transport header at [eth_hdr], then [len] bytes of [data]
+   from [off]. *)
+let build_frame ~dst ~src ~hdr data ~off ~len =
+  let b = Bytes.create (eth_hdr + hdr + len) in
   Bytes.blit dst 0 b 0 6;
   Bytes.blit src 0 b 6 6;
   Bytes.set_uint16_be b 12 0x0800;
-  Bytes.blit payload 0 b eth_hdr (Bytes.length payload);
+  Bytes.blit data off b (eth_hdr + hdr) len;
   b
 
 (* Blocking xmit with Linux-style queue flow control.  Retries are
@@ -178,20 +181,24 @@ let udp_deliver t dev ~src_mac payload =
     end
   end
 
-let stream_send_segment t st ~flags ~payload =
-  let p = Bytes.create (stream_hdr + Bytes.length payload) in
-  Bytes.set p 0 (Char.chr proto_stream);
-  Bytes.set_uint16_be p 1 st.lport;
-  Bytes.set_uint16_be p 3 st.rport;
-  Bytes.set_int32_be p 5 (Int32.of_int st.snd_next);
-  Bytes.set_int32_be p 9 (Int32.of_int st.rcv_next);
-  Bytes.set p 13 (Char.chr flags);
-  Bytes.set_uint16_be p 14 (Bytes.length payload);
-  Bytes.set_uint16_be p 16 (Skbuff.checksum payload);
-  Bytes.blit payload 0 p stream_hdr (Bytes.length payload);
-  let frame = build_frame ~dst:st.rmac ~src:(Netdev.mac st.sdev) ~payload:p in
+(* Send [len] bytes of [data] from [off] as one segment. *)
+let stream_send_segment t st ~flags data ~off ~len =
+  let frame =
+    build_frame ~dst:st.rmac ~src:(Netdev.mac st.sdev) ~hdr:stream_hdr data ~off ~len
+  in
+  let h = eth_hdr in
+  Bytes.set frame h (Char.chr proto_stream);
+  Bytes.set_uint16_be frame (h + 1) st.lport;
+  Bytes.set_uint16_be frame (h + 3) st.rport;
+  Bytes.set_int32_be frame (h + 5) (Int32.of_int st.snd_next);
+  Bytes.set_int32_be frame (h + 9) (Int32.of_int st.rcv_next);
+  Bytes.set frame (h + 13) (Char.chr flags);
+  Bytes.set_uint16_be frame (h + 14) len;
+  Bytes.set_uint16_be frame (h + 16) (Skbuff.checksum_sub_words data ~off ~len);
   consume t (model t).Cost_model.netstack_tx_ns;
   ignore (dev_xmit t st.sdev (Skbuff.of_bytes frame) : [ `Sent | `Dropped ])
+
+let stream_send_ctl t st ~flags = stream_send_segment t st ~flags Bytes.empty ~off:0 ~len:0
 
 let stream_deliver t dev ~src_mac payload =
   if Bytes.length payload >= stream_hdr then begin
@@ -210,14 +217,14 @@ let stream_deliver t dev ~src_mac payload =
         st.rport <- sport;
         st.rcv_next <- seq + 1;
         st.state <- Established;
-        stream_send_segment t st ~flags:(flag_syn lor flag_ack) ~payload:Bytes.empty;
+        stream_send_ctl t st ~flags:(flag_syn lor flag_ack);
         ignore (Sync.Waitq.broadcast st.conn_wait : int)
       end
       else if flags land flag_syn <> 0 && flags land flag_ack <> 0 && st.state = Syn_sent then begin
         st.rcv_next <- seq + 1;
         st.snd_una <- max st.snd_una ack;
         st.state <- Established;
-        stream_send_segment t st ~flags:flag_ack ~payload:Bytes.empty;
+        stream_send_ctl t st ~flags:flag_ack;
         ignore (Sync.Waitq.broadcast st.conn_wait : int)
       end
       else begin
@@ -235,7 +242,7 @@ let stream_deliver t dev ~src_mac payload =
             st.segs_unacked <- st.segs_unacked + 1;
             if st.segs_unacked >= 2 then begin
               st.segs_unacked <- 0;
-              stream_send_segment t st ~flags:flag_ack ~payload:Bytes.empty
+              stream_send_ctl t st ~flags:flag_ack
             end
           end
           (* out-of-order: the simulated medium is FIFO, so this only
@@ -245,7 +252,7 @@ let stream_deliver t dev ~src_mac payload =
           st.fin_received <- true;
           st.segs_unacked <- 0;
           st.rcv_next <- st.rcv_next + 1;
-          stream_send_segment t st ~flags:flag_ack ~payload:Bytes.empty;
+          stream_send_ctl t st ~flags:flag_ack;
           ignore (Sync.Waitq.broadcast st.rx_wait : int)
         end
       end
@@ -455,14 +462,14 @@ let udp_sendto t sock ~dst ~dst_port data =
   consume t m.Cost_model.syscall_ns;
   consume t m.Cost_model.netstack_tx_ns;
   consume t (Cost_model.checksum_cost m ~bytes:(Bytes.length data));
-  let p = Bytes.create (udp_hdr + Bytes.length data) in
-  Bytes.set p 0 (Char.chr proto_udp);
-  Bytes.set_uint16_be p 1 sock.uport;
-  Bytes.set_uint16_be p 3 dst_port;
-  Bytes.set_uint16_be p 5 (Bytes.length data);
-  Bytes.set_uint16_be p 7 (Skbuff.checksum data);
-  Bytes.blit data 0 p udp_hdr (Bytes.length data);
-  let frame = build_frame ~dst ~src:(Netdev.mac sock.udev) ~payload:p in
+  let len = Bytes.length data in
+  let frame = build_frame ~dst ~src:(Netdev.mac sock.udev) ~hdr:udp_hdr data ~off:0 ~len in
+  let h = eth_hdr in
+  Bytes.set frame h (Char.chr proto_udp);
+  Bytes.set_uint16_be frame (h + 1) sock.uport;
+  Bytes.set_uint16_be frame (h + 3) dst_port;
+  Bytes.set_uint16_be frame (h + 5) len;
+  Bytes.set_uint16_be frame (h + 7) (Skbuff.checksum data);
   dev_xmit t sock.udev (Skbuff.of_bytes frame)
 
 let rec udp_recv_inner t sock =
@@ -519,7 +526,7 @@ let stream_connect t dev ~dst ~dst_port ~src_port =
   st.rport <- dst_port;
   st.state <- Syn_sent;
   Hashtbl.add t.streams key st;
-  stream_send_segment t st ~flags:flag_syn ~payload:Bytes.empty;
+  stream_send_ctl t st ~flags:flag_syn;
   st.snd_next <- st.snd_next + 1;
   let deadline = Engine.now t.eng + 5_000_000 in
   let rec wait () =
@@ -551,8 +558,7 @@ let stream_send t st data =
          | Fiber.Normal | Fiber.Timeout -> charge_wakeup_since t ~since)
       done;
       if !err = None then begin
-        stream_send_segment t st ~flags:(flag_data lor flag_ack)
-          ~payload:(Bytes.sub data !off chunk);
+        stream_send_segment t st ~flags:(flag_data lor flag_ack) data ~off:!off ~len:chunk;
         st.snd_next <- st.snd_next + chunk;
         off := !off + chunk
       end
@@ -576,7 +582,7 @@ let rec stream_recv t st =
 
 let stream_close t st =
   if st.state = Established then begin
-    stream_send_segment t st ~flags:(flag_fin lor flag_ack) ~payload:Bytes.empty;
+    stream_send_ctl t st ~flags:(flag_fin lor flag_ack);
     st.snd_next <- st.snd_next + 1
   end;
   st.state <- Closed;

@@ -21,8 +21,12 @@ type table = {
   mutable next_pid : int;
   mutable procs : t list;
   kernel : t;
-  by_fiber : (int, t) Hashtbl.t;
 }
+
+(* A fiber's process in a table, cached on the fiber by [current].  Two
+   kernels can share an engine (netperf's DUT and peer), so the entry
+   names its table. *)
+type Fiber.owner += Proc of table * t
 
 let make_proc eng ~pid ~uid ~name =
   { ppid = pid;
@@ -39,7 +43,7 @@ let make_proc eng ~pid ~uid ~name =
 
 let create_table eng =
   let kernel = make_proc eng ~pid:0 ~uid:0 ~name:"kernel" in
-  { teng = eng; next_pid = 1; procs = [ kernel ]; kernel; by_fiber = Hashtbl.create 64 }
+  { teng = eng; next_pid = 1; procs = [ kernel ]; kernel }
 
 let kernel_process table = table.kernel
 
@@ -67,20 +71,24 @@ let spawn_fiber t ?name fn =
 let current table =
   match Fiber.self () with
   | fiber ->
-    let fid = Fiber.id fiber in
-    (match Hashtbl.find_opt table.by_fiber fid with
-     | Some p -> p
-     | None ->
-       (* Walk process fiber lists lazily and cache the hit. *)
-       (match
-          List.find_opt
-            (fun p -> List.exists (fun f -> Fiber.id f = fid) p.fibers)
-            table.procs
-        with
-        | Some p ->
-          Hashtbl.replace table.by_fiber fid p;
-          p
-        | None -> table.kernel))
+    (match Fiber.owner fiber with
+     | Proc (tb, p) when tb == table -> p
+     | _ ->
+       (* Walk the process fiber lists on the fiber's first lookup in
+          this table and cache the result, the kernel fallback included:
+          a fiber joins a list only before it first runs. *)
+       let fid = Fiber.id fiber in
+       let p =
+         match
+           List.find_opt
+             (fun p -> List.exists (fun f -> Fiber.id f = fid) p.fibers)
+             table.procs
+         with
+         | Some p -> p
+         | None -> table.kernel
+       in
+       Fiber.set_owner fiber (Proc (table, p));
+       p)
   | exception Failure _ -> table.kernel
 
 let kill t =

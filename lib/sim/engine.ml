@@ -1,5 +1,9 @@
-(* Two-tier event queue.
+(* Two-tier event queue over a slot table.
 
+   - Every queued event sits in a slot of [slots]; the heap and the ring
+     hold slot numbers, so moving an event is an int store with no write
+     barrier.  Scheduling takes a slot off the [free] stack, and firing
+     or reaping an event puts it back.
    - The ring holds the events of the instant being executed, in seq order:
      every delay-0 event lands there, and so does each future instant when
      the clock reaches it.  Whenever the ring is non-empty its events are due
@@ -18,23 +22,30 @@ let dummy = { seq = 0; fn = ignore; cancelled = true }
 type t = {
   mutable now : int;
   mutable seq : int;
-  (* Heap: slot i holds event [hev.(i)] due at [htime.(i)]. *)
+  (* Slot table: [free.(0 .. nfree - 1)] are the unused slots, the last
+     one taken first. *)
+  mutable slots : handle array;
+  mutable free : int array;
+  mutable nfree : int;
+  (* Heap: position i holds the event in slot [hev.(i)], due at
+     [htime.(i)] with seq [hseq.(i)]. *)
   mutable htime : int array;
   mutable hseq : int array;
-  mutable hev : handle array;
+  mutable hev : int array;
   mutable hlen : int;
-  (* Ring: [rlen] events from [rhead], capacity a power of two. *)
-  mutable rbuf : handle array;
+  (* Ring: [rlen] slots from [rhead], capacity a power of two. *)
+  mutable rbuf : int array;
   mutable rhead : int;
   mutable rlen : int;
   root_rng : Rng.t;
   mutable steps : int;
-  mutable thash : int64;
+  (* The trace hash as 8 raw bytes, so updating it boxes nothing. *)
+  thash : Bytes.t;
   mutable halted : bool;
   (* Limits of the [run] in progress: the clock may not pass [horizon]
      and [steps] may not pass [step_limit].  [run] restores both on
-     return; [horizon] is [-1] outside any [run], which keeps {!advance}
-     from applying there. *)
+     return; outside any [run] they are [-1] and [0], which keeps
+     {!advance} and {!follow} from applying there. *)
   mutable horizon : int;
   mutable step_limit : int;
   mutable advanced : int;
@@ -43,18 +54,23 @@ type t = {
 }
 
 let create ?(seed = 1L) () =
+  let thash = Bytes.create 8 in
+  Bytes.set_int64_le thash 0 0x5D0_C4ECL;
   { now = 0;
     seq = 0;
+    slots = Array.make 64 dummy;
+    free = Array.init 64 (fun i -> 63 - i);
+    nfree = 64;
     htime = Array.make 64 0;
     hseq = Array.make 64 0;
-    hev = Array.make 64 dummy;
+    hev = Array.make 64 0;
     hlen = 0;
-    rbuf = Array.make 64 dummy;
+    rbuf = Array.make 64 0;
     rhead = 0;
     rlen = 0;
     root_rng = Rng.create ~seed;
     steps = 0;
-    thash = 0x5D0_C4ECL;
+    thash;
     halted = false;
     horizon = -1;
     step_limit = 0;
@@ -66,24 +82,52 @@ let now t = t.now
 let rng t = t.root_rng
 let steps t = t.steps
 let advanced t = t.advanced
-let trace_hash t = t.thash
+let trace_hash t = Bytes.get_int64_le t.thash 0
 let set_picker t p = t.picker <- p
 let set_observer t o = t.observer <- o
+
+(* ---- slots ---- *)
+
+(* Only called with every slot in use, so the new upper half is the whole
+   free stack. *)
+let slots_grow t =
+  let cap = Array.length t.slots in
+  let slots = Array.make (2 * cap) dummy in
+  Array.blit t.slots 0 slots 0 cap;
+  t.slots <- slots;
+  t.free <- Array.init (2 * cap) (fun i -> if i < cap then (2 * cap) - 1 - i else 0);
+  t.nfree <- cap
+
+let slot_take t ev =
+  if t.nfree = 0 then slots_grow t;
+  let n = t.nfree - 1 in
+  t.nfree <- n;
+  let s = t.free.(n) in
+  t.slots.(s) <- ev;
+  s
+
+(* Empty slot [s] and return the event it held. *)
+let slot_release t s =
+  let ev = t.slots.(s) in
+  t.slots.(s) <- dummy;
+  t.free.(t.nfree) <- s;
+  t.nfree <- t.nfree + 1;
+  ev
 
 (* ---- heap ---- *)
 
 let heap_grow t =
   let n = 2 * Array.length t.hev in
-  let grow a fill =
-    let b = Array.make n fill in
+  let grow a =
+    let b = Array.make n 0 in
     Array.blit a 0 b 0 t.hlen;
     b
   in
-  t.htime <- grow t.htime 0;
-  t.hseq <- grow t.hseq 0;
-  t.hev <- grow t.hev dummy
+  t.htime <- grow t.htime;
+  t.hseq <- grow t.hseq;
+  t.hev <- grow t.hev
 
-let heap_push t time (ev : handle) =
+let heap_push t time seq s =
   if t.hlen = Array.length t.hev then heap_grow t;
   let htime = t.htime and hseq = t.hseq and hev = t.hev in
   (* Sift the hole up from the end, moving parents down.  Every push
@@ -102,19 +146,18 @@ let heap_push t time (ev : handle) =
     end else continue_ := false
   done;
   htime.(!i) <- time;
-  hseq.(!i) <- ev.seq;
-  hev.(!i) <- ev;
+  hseq.(!i) <- seq;
+  hev.(!i) <- s;
   t.hlen <- t.hlen + 1
 
-(* Remove the root: move the last slot into the hole at 0 and sift it down
-   past the smallest of up to four children. *)
+(* Remove the root and return its slot: move the last position into the
+   hole at 0 and sift it down past the smallest of up to four children. *)
 let heap_pop t =
   let htime = t.htime and hseq = t.hseq and hev = t.hev in
   let top = hev.(0) in
   let n = t.hlen - 1 in
   t.hlen <- n;
-  let time = htime.(n) and seq = hseq.(n) and ev = hev.(n) in
-  hev.(n) <- dummy;
+  let time = htime.(n) and seq = hseq.(n) and s = hev.(n) in
   if n > 0 then begin
     let i = ref 0 in
     let continue_ = ref true in
@@ -139,44 +182,43 @@ let heap_pop t =
     done;
     htime.(!i) <- time;
     hseq.(!i) <- seq;
-    hev.(!i) <- ev
+    hev.(!i) <- s
   end;
   top
 
 (* ---- ring ---- *)
 
-let ring_push t ev =
+let ring_push t s =
   let cap = Array.length t.rbuf in
   if t.rlen = cap then begin
-    let b = Array.make (2 * cap) dummy in
+    let b = Array.make (2 * cap) 0 in
     for j = 0 to t.rlen - 1 do
       b.(j) <- t.rbuf.((t.rhead + j) land (cap - 1))
     done;
     t.rbuf <- b;
     t.rhead <- 0
   end;
-  t.rbuf.((t.rhead + t.rlen) land (Array.length t.rbuf - 1)) <- ev;
+  t.rbuf.((t.rhead + t.rlen) land (Array.length t.rbuf - 1)) <- s;
   t.rlen <- t.rlen + 1
 
 let ring_pop t =
-  let ev = t.rbuf.(t.rhead) in
-  t.rbuf.(t.rhead) <- dummy;
+  let s = t.rbuf.(t.rhead) in
   t.rhead <- (t.rhead + 1) land (Array.length t.rbuf - 1);
   t.rlen <- t.rlen - 1;
-  ev
+  s
 
-(* Remove the [idx]-th event in place: the events before it shift up one
-   slot, so the rest keep their seq order.  Picks are mostly 0 (FIFO),
+(* Remove the [idx]-th slot in place: the slots before it shift up one
+   place, so the rest keep their seq order.  Picks are mostly 0 (FIFO),
    which moves nothing. *)
 let ring_remove t idx =
   let mask = Array.length t.rbuf - 1 in
   let at j = (t.rhead + j) land mask in
-  let ev = t.rbuf.(at idx) in
+  let s = t.rbuf.(at idx) in
   for j = idx downto 1 do
     t.rbuf.(at j) <- t.rbuf.(at (j - 1))
   done;
-  ignore (ring_pop t : handle);
-  ev
+  ignore (ring_pop t : int);
+  s
 
 (* Reap cancelled events from the ring, keeping the survivors' order. *)
 let ring_compact t =
@@ -184,14 +226,12 @@ let ring_compact t =
   let at j = (t.rhead + j) land mask in
   let k = ref 0 in
   for j = 0 to t.rlen - 1 do
-    let ev = t.rbuf.(at j) in
-    if not ev.cancelled then begin
-      t.rbuf.(at !k) <- ev;
+    let s = t.rbuf.(at j) in
+    if t.slots.(s).cancelled then ignore (slot_release t s : handle)
+    else begin
+      t.rbuf.(at !k) <- s;
       incr k
     end
-  done;
-  for j = !k to t.rlen - 1 do
-    t.rbuf.(at j) <- dummy
   done;
   t.rlen <- !k
 
@@ -200,8 +240,8 @@ let ring_compact t =
 let stage t =
   let time = t.htime.(0) in
   while t.hlen > 0 && t.htime.(0) = time do
-    let ev = heap_pop t in
-    if not ev.cancelled then ring_push t ev
+    let s = heap_pop t in
+    if t.slots.(s).cancelled then ignore (slot_release t s : handle) else ring_push t s
   done;
   time
 
@@ -211,7 +251,8 @@ let schedule_after t delay fn =
   if delay < 0 then invalid_arg "Engine.schedule_after: negative delay";
   t.seq <- t.seq + 1;
   let ev : handle = { seq = t.seq; fn; cancelled = false } in
-  if delay = 0 then ring_push t ev else heap_push t (t.now + delay) ev;
+  let s = slot_take t ev in
+  if delay = 0 then ring_push t s else heap_push t (t.now + delay) t.seq s;
   ev
 
 let schedule_now t fn = schedule_after t 0 fn
@@ -224,14 +265,15 @@ let pending t = t.hlen + t.rlen
 
 (* Fingerprint the fired (time, seq) stream.  Two runs that fire the same
    events in the same order — the definition of an identical schedule —
-   produce the same hash; any reordering diverges at the first swap. *)
+   produce the same hash; any reordering diverges at the first swap.  The
+   mix is {!Rng.mix}, written out here so the int64s stay unboxed. *)
 let count t seq =
   t.steps <- t.steps + 1;
-  t.thash <-
-    Rng.mix
-      (Int64.add
-         (Int64.mul t.thash 0x100000001B3L)
-         (Int64.of_int (t.now lxor (seq * 0x9E3779B9))))
+  let h = Bytes.get_int64_le t.thash 0 in
+  let z = Int64.add (Int64.mul h 0x100000001B3L) (Int64.of_int (t.now lxor (seq * 0x9E3779B9))) in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Bytes.set_int64_le t.thash 0 (Int64.logxor z (Int64.shift_right_logical z 31))
 
 let fire t (ev : handle) =
   count t ev.seq;
@@ -259,6 +301,18 @@ let advance t delay =
   end
   else false
 
+(* The event calling this is about to return.  With the ring empty, [fn]
+   queued now would be alone in the next ready set, and both loops would
+   fire it next if the limits allow one more event: so fire it here.  The
+   clock is within [horizon], or the calling event would not have fired. *)
+let follow t fn =
+  if t.rlen = 0 && t.steps < t.step_limit && not t.halted then begin
+    t.seq <- t.seq + 1;
+    count t t.seq;
+    fn ()
+  end
+  else ignore (schedule_now t fn : handle)
+
 (* Picker path: the ready set is the ring's uncancelled events, in seq
    order.  The picker chooses one; the rest stay queued in place. *)
 let run_policy pick ~max_time t =
@@ -280,15 +334,15 @@ let run_policy pick ~max_time t =
             i
           end
         in
-        fire t (ring_remove t idx)
+        fire t (slot_release t (ring_remove t idx))
       end
     end
     else begin
       (* Cancelled events at the head are reaped whatever their time and
          never move the clock; the next live instant is staged only if it
          is within the horizon. *)
-      while t.hlen > 0 && t.hev.(0).cancelled do
-        ignore (heap_pop t : handle)
+      while t.hlen > 0 && t.slots.(t.hev.(0)).cancelled do
+        ignore (slot_release t (heap_pop t) : handle)
       done;
       if t.hlen > 0 && t.htime.(0) <= max_time then t.now <- stage t
       else continue_ := false
@@ -303,7 +357,7 @@ let run_fifo ~max_time t =
     if t.rlen > 0 then begin
       if t.now > max_time then continue_ := false
       else begin
-        let ev = ring_pop t in
+        let ev = slot_release t (ring_pop t) in
         if not ev.cancelled then fire t ev
       end
     end

@@ -8,14 +8,16 @@
     The queue has two tiers.  Events due at the instant being executed
     sit in a FIFO ring: every delay-0 event, and each future instant as
     the clock reaches it.  Only events due later sit in a 4-ary heap
-    keyed on [(time, seq)].  Which events fire, and in what order, is the
-    same as one queue ordered by [(time, seq)]. *)
+    keyed on [(time, seq)].  Both tiers hold slot numbers into one table
+    of queued events.  Which events fire, and in what order, is the same
+    as one queue ordered by [(time, seq)]. *)
 
 type t
 
 type handle
 (** A scheduled event, cancellable until it fires.  The handle is the
-    queued event itself, so scheduling allocates one record. *)
+    queued event itself, so scheduling allocates one record; its slot in
+    the queue is reused once it fires or is reaped. *)
 
 val create : ?seed:int64 -> unit -> t
 (** Fresh engine at time 0.  [seed] initializes the engine's root RNG
@@ -62,6 +64,18 @@ val advance : t -> int -> bool
     returns [false].  Each event would have been alone in its ready
     set, so no picker is consulted either way.  {!Fiber.sleep} uses it
     to skip a suspension nothing can interleave with. *)
+
+val follow : t -> (unit -> unit) -> unit
+(** [follow t fn] is [ignore (schedule_now t fn)] for the last act of a
+    bare event — one fired by {!run}, not running inside a fiber — and
+    fires [fn] in place when that is the same thing.  Inside {!run}, when
+    the ring is empty, {!steps} is below the run's [max_events] limit and
+    the engine is not halted, [fn] would be alone in the next ready set
+    and fire next, with no picker or observer consulted.  Then [follow] takes the next sequence number, counts it
+    in {!steps} and {!trace_hash} as if fired, and calls [fn] directly;
+    otherwise it queues [fn].  It must be the event's last act: anything
+    after it would run after [fn] in place but before it when queued.
+    {!Fiber.sleep} and {!Sync.Waitq.wait_timeout} wake through it. *)
 
 val advanced : t -> int
 (** How many calls to {!advance} have succeeded on this engine. *)

@@ -5,8 +5,11 @@
     sleeps and CPU consumption, and the engine interleaves them
     deterministically.  Implemented with OCaml 5 effect handlers.
 
-    Only one fiber runs at a time; resumptions always go through the engine
-    queue, so there is no nesting and no data races. *)
+    Only one fiber runs at a time.  A resumption goes through the engine
+    queue, or — when a timer's wake is the last act of its event and the
+    resume would fire next anyway (see {!Engine.follow}) — runs in place
+    inside that timer event.  Either way a fiber is never resumed inside
+    another fiber, so there is no nesting and no data races. *)
 
 exception Killed
 (** Raised inside a fiber when it is killed, so [Fun.protect]-style cleanup
@@ -30,10 +33,19 @@ val name : t -> string
 val id : t -> int
 val is_alive : t -> bool
 
+type owner = ..
+(** Who a fiber belongs to, for layers above the engine to extend. *)
+
+type owner += Unowned  (** the value of a fresh fiber *)
+
+val owner : t -> owner
+val set_owner : t -> owner -> unit
+
 val suspend : (t -> unit) -> wake
 (** [suspend register] parks the current fiber; [register] is called with
     the fiber so the caller can file it in a wait queue or timer.  Returns
-    the reason it was woken. *)
+    the reason it was woken.  Outside fiber context it raises
+    [Effect.Unhandled] without calling [register]. *)
 
 val wake : t -> wake -> bool
 (** Resume a suspended fiber (via the engine queue).  Returns false if the
@@ -48,6 +60,13 @@ val epoch : t -> int
 val wake_epoch : t -> epoch:int -> wake -> bool
 (** {!wake}, but a no-op unless the fiber is still in the suspension the
     epoch was captured in. *)
+
+val wake_after : Engine.t -> t -> int -> wake -> unit
+(** [wake_after engine fiber ns w] arms a timer [ns] from now that wakes
+    [fiber] with [w] if it is still in the suspension it is in (or about
+    to enter) now: call it from a [register] function.  The wake is the
+    timer event's last act, so the resume fires in place when
+    {!Engine.follow} allows. *)
 
 val kill : t -> unit
 (** Kill the fiber: if suspended, it is resumed with {!Killed}; if it has a

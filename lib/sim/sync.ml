@@ -11,15 +11,11 @@ module Waitq = struct
 
   let wait_timeout engine t ns =
     Fiber.suspend (fun fiber ->
-        (* The same epoch guards the timer: if the fiber is signalled (or
-           interrupted) before the deadline, this timer must die with the
+        (* The timer is guarded by the same epoch: if the fiber is
+           signalled (or interrupted) before the deadline, it dies with the
            wait instead of waking the fiber's next suspension. *)
-        let epoch = Fiber.epoch fiber in
-        Queue.push (fiber, epoch) t.q;
-        ignore
-          (Engine.schedule_after engine ns (fun () ->
-               ignore (Fiber.wake_epoch fiber ~epoch Fiber.Timeout : bool))
-           : Engine.handle))
+        Queue.push (fiber, Fiber.epoch fiber) t.q;
+        Fiber.wake_after engine fiber ns Fiber.Timeout)
 
   (* Stale entries are skipped, so a signal is never lost to a waiter
      that already left. *)

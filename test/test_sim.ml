@@ -41,6 +41,42 @@ let test_engine_negative_delay () =
     (Invalid_argument "Engine.schedule_after: negative delay") (fun () ->
         ignore (Engine.schedule_after eng (-1) ignore : Engine.handle))
 
+(* Slots freed by firing, by cancellation and across a halted run are
+   reused, and a handle whose event is gone cancels nothing that took its
+   slot. *)
+let test_engine_slot_reuse () =
+  let eng = Engine.create () in
+  let fired = ref [] in
+  let sched d tag = Engine.schedule_after eng d (fun () -> fired := tag :: !fired) in
+  (* More events than the initial table holds; every other one cancelled. *)
+  let hs = List.init 200 (fun i -> sched (i mod 7) i) in
+  List.iteri (fun i h -> if i mod 2 = 1 then Engine.cancel h) hs;
+  Engine.run eng;
+  let want =
+    List.stable_sort (fun a b -> compare (a mod 7) (b mod 7)) (List.filter (fun i -> i mod 2 = 0) (List.init 200 Fun.id))
+  in
+  Alcotest.(check (list int)) "survivors in (time, seq) order" want (List.rev !fired);
+  Alcotest.(check int) "queue drained" 0 (Engine.pending eng);
+  fired := [];
+  let t0 = Engine.now eng in
+  let a = sched 1 1 in
+  let h = Engine.schedule_after eng 2 (fun () -> fired := 2 :: !fired; Engine.halt eng) in
+  let b = sched 3 3 and c = sched 4 4 in
+  Engine.run eng;
+  Alcotest.(check (list int)) "halted after its event" [ 1; 2 ] (List.rev !fired);
+  Alcotest.(check int) "two left queued" 2 (Engine.pending eng);
+  let d = sched 0 5 and e = sched 1 6 in
+  Engine.cancel c;
+  Engine.run eng;
+  Alcotest.(check (list int)) "resumed with the new events in order" [ 1; 2; 5; 3; 6 ] (List.rev !fired);
+  Alcotest.(check int) "clock at the cancelled event" (t0 + 4) (Engine.now eng);
+  Alcotest.(check int) "queue drained again" 0 (Engine.pending eng);
+  List.iter Engine.cancel [ a; h; b; c; d; e ];
+  fired := [];
+  ignore (List.init 4 (fun i -> sched i (10 + i)) : Engine.handle list);
+  Engine.run eng;
+  Alcotest.(check (list int)) "stale handles cancel nothing" [ 10; 11; 12; 13 ] (List.rev !fired)
+
 let test_fiber_sleep () =
   let eng = Engine.create () in
   let t = ref (-1) in
@@ -96,6 +132,89 @@ let test_fiber_stale_wake () =
      : Engine.handle);
   Engine.run eng;
   Alcotest.(check int) "body continued exactly once" 1 !wakes
+
+(* A fiber parked with no waker: an interrupt wakes it once, and a kill
+   unwinds it from its next wait. *)
+let test_fiber_parked_interrupt_kill () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let note what = log := (Engine.now eng, what) :: !log in
+  let f =
+    Fiber.spawn eng (fun () ->
+        (match Fiber.suspend ignore with
+         | Fiber.Interrupted -> note "interrupted"
+         | Fiber.Normal | Fiber.Timeout -> note "other");
+        Fun.protect
+          ~finally:(fun () -> note "cleanup")
+          (fun () ->
+             ignore (Fiber.suspend ignore : Fiber.wake);
+             note "resumed"))
+  in
+  let first = ref false and second = ref true in
+  ignore
+    (Engine.schedule_after eng 10 (fun () ->
+         first := Fiber.interrupt f;
+         second := Fiber.interrupt f)
+     : Engine.handle);
+  ignore (Engine.schedule_after eng 20 (fun () -> Fiber.kill f) : Engine.handle);
+  Engine.run eng;
+  Alcotest.(check bool) "first interrupt wakes" true !first;
+  Alcotest.(check bool) "second interrupt is stale" false !second;
+  Alcotest.(check (list (pair int string))) "interrupted, then killed"
+    [ (10, "interrupted"); (20, "cleanup") ] (List.rev !log);
+  Alcotest.(check bool) "fiber dead" false (Fiber.is_alive f)
+
+(* An interrupted sleep leaves its timer queued; when it fires it must not
+   wake the fiber's next suspension. *)
+let test_stale_sleep_timer () =
+  let eng = Engine.create () in
+  let parked = ref None and got = ref [] in
+  let f =
+    Fiber.spawn eng (fun () ->
+        let w = Fiber.sleep eng 1000 in
+        got := (Engine.now eng, w) :: !got;
+        let w = Fiber.suspend (fun self -> parked := Some self) in
+        got := (Engine.now eng, w) :: !got)
+  in
+  ignore (Engine.schedule_after eng 10 (fun () -> ignore (Fiber.interrupt f : bool)) : Engine.handle);
+  ignore
+    (Engine.schedule_after eng 2000 (fun () ->
+         Option.iter (fun fiber -> ignore (Fiber.wake fiber Fiber.Timeout : bool)) !parked)
+     : Engine.handle);
+  Engine.run eng;
+  Alcotest.(check bool) "woken at 10 by the interrupt, at 2000 by the wake" true
+    (List.rev !got = [ (10, Fiber.Interrupted); (2000, Fiber.Timeout) ])
+
+let test_suspend_outside_fiber () =
+  let called = ref false in
+  (match Fiber.suspend (fun _ -> called := true) with
+   | _ -> Alcotest.fail "suspend returned outside a fiber"
+   | exception Effect.Unhandled _ -> ());
+  Alcotest.(check bool) "register not called" false !called;
+  match Fiber.sleep (Engine.create ()) 10 with
+  | _ -> Alcotest.fail "sleep returned outside a fiber"
+  | exception Effect.Unhandled _ -> ()
+
+(* Eight fibers sleeping 100 ns at staggered phases: every timer fires
+   alone and resumes its fiber in place, and a fired event allocates the
+   timer's closure and handle and the parked continuation, nothing per
+   queue move or hash update. *)
+let test_sleep_loop_allocation () =
+  let eng = Engine.create () in
+  for i = 0 to 7 do
+    ignore
+      (Fiber.spawn eng (fun () ->
+           ignore (Fiber.sleep eng ((13 * i) + 1) : Fiber.wake);
+           while true do ignore (Fiber.sleep eng 100 : Fiber.wake) done)
+       : Fiber.t)
+  done;
+  Engine.run ~max_time:1_000 eng;
+  let s0 = Engine.steps eng and w0 = Gc.minor_words () in
+  Engine.run ~max_time:201_000 eng;
+  let events = Engine.steps eng - s0 in
+  let words = (Gc.minor_words () -. w0) /. float_of_int events in
+  Alcotest.(check int) "every fiber sleeps 2000 times" 32_000 events;
+  if words > 12. then Alcotest.failf "%.2f minor words per event (limit 12)" words
 
 let test_waitq_fifo () =
   let eng = Engine.create () in
@@ -375,9 +494,11 @@ let test_convergence () =
    keeps every queued event in one list and always takes the minimum.  A
    program is a set of scripts (what an event does when it fires, chosen
    by its seq) plus phases: operations from outside [run], then a [run]
-   with optional limits, under FIFO or a seeded picker. *)
+   with optional limits, under FIFO or a seeded picker.  A script may end
+   in [Follow], a same-instant event queued through [Engine.follow], which
+   the model queues like any other; outside [run] it can appear anywhere. *)
 
-type eop = Sched of int | Cancel of int
+type eop = Sched of int | Cancel of int | Follow
 
 type phase = {
   outside : eop list;
@@ -402,20 +523,23 @@ type trace = {
 
 let new_trace () = { fired = []; picks = []; observed = []; clocks = [] }
 
-(* Both sides share this driver.  [schedule delay seq body] and
-   [cancel seq] are the implementation's; [body] runs event [seq]'s script
-   when it fires. *)
-let drive prog ~schedule ~cancel ~run ~now =
+(* Both sides share this driver.  [schedule delay seq body],
+   [follow seq body] and [cancel seq] are the implementation's; [body]
+   runs event [seq]'s script when it fires.  An event queued by [follow]
+   has no handle, so cancelling it is a no-op on both sides. *)
+let drive prog ~schedule ~follow ~cancel ~run ~now =
   let created = ref 0 in
   let rec exec op =
     match op with
-    | Sched d ->
-      if !created < event_cap then begin
-        incr created;
-        let seq = !created in
-        schedule d seq (fun () -> List.iter exec prog.scripts.(seq mod Array.length prog.scripts))
-      end
+    | Sched d -> create (fun seq body -> schedule d seq body)
+    | Follow -> create follow
     | Cancel k -> if !created > 0 then cancel ((k mod !created) + 1)
+  and create queue =
+    if !created < event_cap then begin
+      incr created;
+      let seq = !created in
+      queue seq (fun () -> List.iter exec prog.scripts.(seq mod Array.length prog.scripts))
+    end
   in
   List.iter
     (fun ph ->
@@ -424,26 +548,27 @@ let drive prog ~schedule ~cancel ~run ~now =
        run ph ~max_time)
     prog.phases
 
-(* The event firing as step [s] for [s] in [halts] calls [Engine.halt];
-   each phase's [run] is then resumed, with what is left of its event
-   limit, until it ends on its own.  [at_halt] is false if a halted [run]
+(* The event firing as step [s] for [s] in [halts] calls [Engine.halt]
+   before its script, so a [Follow] ending that script queues; each
+   phase's [run] is then resumed, with what is left of its event limit,
+   until it ends on its own.  [at_halt] is false if a halted [run]
    returned anywhere but just after its halting event. *)
 let run_engine ?(halts = []) prog =
   let eng = Engine.create () in
   let tr = new_trace () in
   let handles = Hashtbl.create 64 in
   let halted = ref None and at_halt = ref true in
-  let schedule d seq body =
-    Hashtbl.replace handles seq
-      (Engine.schedule_after eng d (fun () ->
-           tr.fired <- (Engine.now eng, seq) :: tr.fired;
-           body ();
-           if List.mem (Engine.steps eng) halts then begin
-             halted := Some (Engine.steps eng, Engine.now eng);
-             Engine.halt eng
-           end))
+  let event seq body () =
+    tr.fired <- (Engine.now eng, seq) :: tr.fired;
+    if List.mem (Engine.steps eng) halts then begin
+      halted := Some (Engine.steps eng, Engine.now eng);
+      Engine.halt eng
+    end;
+    body ()
   in
-  let cancel seq = Engine.cancel (Hashtbl.find handles seq) in
+  let schedule d seq body = Hashtbl.replace handles seq (Engine.schedule_after eng d (event seq body)) in
+  let follow seq body = Engine.follow eng (event seq body) in
+  let cancel seq = Option.iter Engine.cancel (Hashtbl.find_opt handles seq) in
   let run ph ~max_time =
     (match ph.picker with
      | None -> Engine.set_picker eng None; Engine.set_observer eng None
@@ -466,7 +591,7 @@ let run_engine ?(halts = []) prog =
     go ();
     tr.clocks <- Engine.now eng :: tr.clocks
   in
-  drive prog ~schedule ~cancel ~run ~now:(fun () -> Engine.now eng);
+  drive prog ~schedule ~follow ~cancel ~run ~now:(fun () -> Engine.now eng);
   (tr, Engine.steps eng, Engine.trace_hash eng, !at_halt)
 
 type mev = { m_time : int; m_seq : int; mutable m_cancelled : bool; m_fn : unit -> unit }
@@ -482,7 +607,8 @@ let run_model prog =
     Hashtbl.replace all seq e;
     queue := List.merge (fun a b -> compare (key a) (key b)) !queue [ e ]
   in
-  let cancel seq = (Hashtbl.find all seq).m_cancelled <- true in
+  let follow seq body = schedule 0 seq body; Hashtbl.remove all seq in
+  let cancel seq = Option.iter (fun e -> e.m_cancelled <- true) (Hashtbl.find_opt all seq) in
   let fire e =
     queue := List.filter (fun x -> x != e) !queue;
     now := e.m_time;
@@ -536,18 +662,23 @@ let run_model prog =
     done;
     tr.clocks <- !now :: tr.clocks
   in
-  drive prog ~schedule ~cancel ~run ~now:(fun () -> !now);
+  drive prog ~schedule ~follow ~cancel ~run ~now:(fun () -> !now);
   (tr, !steps)
 
 let gen_program =
   let open QCheck.Gen in
   let delay = frequency [ (2, return 0); (3, int_range 1 6); (1, int_range 7 40) ] in
   let eop = frequency [ (4, map (fun d -> Sched d) delay); (1, map (fun k -> Cancel k) nat) ] in
+  let outside_op = frequency [ (8, eop); (1, return Follow) ] in
+  (* Half the scripts end by following up with a same-instant event. *)
+  let script =
+    map2 (fun ops follow -> if follow then ops @ [ Follow ] else ops) (list_size (int_range 0 3) eop) bool
+  in
   let phase =
     map4
       (fun outside picker time_limit event_limit -> { outside; picker; time_limit; event_limit })
       (* Occasional bursts outgrow the queues' initial capacity. *)
-      (list_size (frequency [ (6, int_range 0 6); (1, int_range 100 250) ]) eop)
+      (list_size (frequency [ (6, int_range 0 6); (1, int_range 100 250) ]) outside_op)
       (opt (int_range 0 1000))
       (opt (int_range 0 30))
       (opt (int_range 1 25))
@@ -555,11 +686,11 @@ let gen_program =
   map2
     (fun scripts (first, rest) ->
        { scripts = Array.of_list scripts; phases = { first with outside = Sched 0 :: first.outside } :: rest })
-    (list_size (int_range 1 8) (list_size (int_range 0 3) eop))
+    (list_size (int_range 1 8) script)
     (pair phase (list_size (int_range 0 6) phase))
 
 let show_program p =
-  let op = function Sched d -> Printf.sprintf "S%d" d | Cancel k -> Printf.sprintf "C%d" k in
+  let op = function Sched d -> Printf.sprintf "S%d" d | Cancel k -> Printf.sprintf "C%d" k | Follow -> "F" in
   let ops l = "[" ^ String.concat " " (List.map op l) ^ "]" in
   let opt = function None -> "-" | Some v -> string_of_int v in
   Printf.sprintf "scripts=%s phases=%s"
@@ -759,12 +890,17 @@ let qcheck_cases =
 let suite =
   [ Alcotest.test_case "engine: ordering" `Quick test_engine_ordering;
     Alcotest.test_case "engine: cancel" `Quick test_engine_cancel;
+    Alcotest.test_case "engine: slot reuse" `Quick test_engine_slot_reuse;
     Alcotest.test_case "engine: max_time" `Quick test_engine_max_time;
     Alcotest.test_case "engine: negative delay" `Quick test_engine_negative_delay;
     Alcotest.test_case "fiber: sleep" `Quick test_fiber_sleep;
     Alcotest.test_case "fiber: kill runs cleanup" `Quick test_fiber_kill_runs_cleanup;
     Alcotest.test_case "fiber: interrupt" `Quick test_fiber_interrupt;
     Alcotest.test_case "fiber: stale wake dropped" `Quick test_fiber_stale_wake;
+    Alcotest.test_case "fiber: interrupt and kill while parked" `Quick test_fiber_parked_interrupt_kill;
+    Alcotest.test_case "fiber: stale sleep timer" `Quick test_stale_sleep_timer;
+    Alcotest.test_case "fiber: suspend outside a fiber" `Quick test_suspend_outside_fiber;
+    Alcotest.test_case "fiber: sleep loop allocation" `Quick test_sleep_loop_allocation;
     Alcotest.test_case "waitq: FIFO" `Quick test_waitq_fifo;
     Alcotest.test_case "waitq: timeout" `Quick test_waitq_timeout;
     Alcotest.test_case "waitq: stale entry skipped" `Quick test_waitq_stale_entry;
