@@ -29,8 +29,8 @@ bench-mq:
 
 # Batched-datapath sweep in smoke mode: fused copy+checksum micro plus
 # the four corner (queues, batch) points, checked against the scaling
-# gates (fused ratio, 8q speedup over BENCH_4, irqs/frame, single-frame
-# latency); exits nonzero on any gate.  `batch` without smoke runs the
+# gates (fused ratio, 8q speedup over the baseline's 4q mq.kpps,
+# irqs/frame, single-frame latency); exits nonzero on any gate.  `batch` without smoke runs the
 # full 1/4/8-queue x 1/8/32-batch grid.
 bench-batch:
 	dune exec bench/main.exe -- batch smoke
@@ -56,8 +56,8 @@ upgrade-smoke:
 	dune exec bench/main.exe -- upgrade-soak
 
 # Warm-failover latency per storage fault class vs the cold outages in
-# the baseline (BENCH_7's sweep); exits nonzero unless the crash class
-# fails over >= 2x faster than the cold restart it replaces.
+# the baseline (its recovery.outage_ns rows); exits nonzero unless the
+# crash class fails over >= 2x faster than the cold restart it replaces.
 bench-upgrade:
 	dune exec bench/main.exe -- upgrade
 
@@ -75,8 +75,8 @@ bench-blk:
 # Adversarial-interface smoke: the fixed-seed 600-mutation Byzantine
 # protocol campaign (every class applied and detected, containment
 # invariants held, protocol crash loop quarantined) plus the
-# conformance-overhead gate vs BENCH_5's 8q/batch=32 point; exits
-# nonzero on any failure.
+# conformance-overhead gate vs the baseline's 8q/batch=32 batch.kpps;
+# exits nonzero on any failure.
 fuzz-smoke:
 	dune exec bench/main.exe -- fuzz
 

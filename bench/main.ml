@@ -471,17 +471,9 @@ let run_soak () =
   let n_spans = Sud_obs.Trace.write_jsonl ~path:trace_path in
   let spans = Sud_obs.Trace.spans () in
   let parsed =
-    let ic = open_in trace_path in
-    let n = ref 0 in
-    (try
-       while true do
-         match Sud_obs.Trace.span_of_line (input_line ic) with
-         | Some _ -> incr n
-         | None -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    !n
+    match Sud_obs.Trace.read_jsonl ~path:trace_path with
+    | Ok spans -> List.length spans
+    | Error e -> prerr_endline e; 0
   in
   let chain_ok = Sud_obs.Trace.chain_exists spans soak_chain in
   let emitted = Sud_obs.Trace.emitted () and retained = Sud_obs.Trace.retained () in
@@ -802,7 +794,7 @@ let run_upgrade_soak () =
 (* Replays the blkperf recovery sweep with the warm standby enabled and
    gates on the headline claim: a crash-class failover served by a
    pre-forked generation must complete in at most half the cold outage
-   recorded in the baseline (BENCH_7's sweep). *)
+   recorded in the baseline (its [recovery.outage_ns] rows). *)
 
 let upgrade_speedup_floor = 2.0
 
@@ -905,9 +897,9 @@ let run_netperf_mq () =
 (* The gates: the fused defensive-copy+checksum must be at least 30%
    cheaper per full-MTU frame than the two passes it replaced; 8 queues
    with batch 32 must beat the best pre-batching multiqueue figure
-   (BENCH_4's 4-queue point, in the baseline) by 1.5x; NAPI coalescing
+   (the baseline's 4-queue [mq.kpps] row) by 1.5x; NAPI coalescing
    must hold interrupts under 0.2 per frame at load; and the batch=1
-   single-frame path must stay within 5% of BENCH_4's 1-queue figure
+   single-frame path must stay within 5% of the 1-queue [mq.kpps] row
    (aggregation must not tax the unbatched case). *)
 
 let batch_speedup_floor = 1.5
@@ -995,8 +987,8 @@ let run_netperf_batch ~smoke =
    every protocol-mutation class must leave zero containment-invariant
    violations with every class detected at least once, a pure protocol
    crash-looper must end in quarantine, and the always-on conformance
-   validator must cost at most 5% of the BENCH_5 8q/batch=32 throughput
-   point. *)
+   validator must cost at most 5% of the 8q/batch=32 throughput in the
+   baseline ([batch.kpps]). *)
 
 let fuzz_seed = bseed "bench:fuzz"
 let fuzz_mutations = 600
@@ -1023,7 +1015,7 @@ let run_fuzz () =
   List.iter (fun v -> print_endline ("  quarantine violation: " ^ v))
     q.Proto_fuzz.pq_violations;
   (* The validator runs on every u2k slot of every benchmark, so the
-     hottest BENCH_5 point re-measured here carries its full cost. *)
+     hottest [batch.kpps] point re-measured here carries its full cost. *)
   banner "conformance overhead: udp_batch_rx 8q/batch=32 vs BENCH_5";
   let p = Netperf.udp_batch_rx ~queues:8 ~batch:32 in
   let labels = [ ("queues", "8"); ("batch", "32") ] in
@@ -1060,8 +1052,8 @@ let run_fuzz () =
 
 (* The compile-out-cheap claim, enforced: with tracing disabled (the
    default; nothing in this harness enables it outside the soak), the
-   guarded hot paths must sit within 5% of their BENCH_2 figures, copied
-   into the baseline.
+   guarded hot paths must sit within 5% of their [micro.ns_per_op] rows
+   in the baseline.
 
    Two noise sources have to be rejected at the 10ns scale.  Machine
    drift since the baseline was recorded: benches whose code is
@@ -1105,8 +1097,17 @@ type guard_row = {
   gk_ns : float;
   gk_ratio : float;      (* raw: measured / baseline *)
   gk_norm : float;       (* raw / control drift *)
-  gk_pass : bool;
+  gk_gate : J.gate;      (* the better ratio against the bound that passed it *)
 }
+
+(* The verdict's own value and bound: the better of the two ratios,
+   against the threshold of the first test that passed, or the strict
+   threshold when none did.  A passing test held one of the ratios to
+   that threshold and each ratio only ever falls, so the gate line
+   agrees with the verdict. *)
+let guard_gate key ~ratio ~norm ~passed_at =
+  J.gate ("trace_overhead." ^ key) (Float.min ratio norm) Le
+    (Option.value passed_at ~default:guard_threshold)
 
 let trace_overhead_guard micro =
   banner
@@ -1135,10 +1136,12 @@ let trace_overhead_guard micro =
              ref (if drift >= 0.7 && drift <= 1.6 then ns0 /. base /. drift
                   else infinity)
            in
-           let passed = ref (!best_raw <= guard_threshold
-                             || !best_norm <= guard_threshold) in
+           let passed_at =
+             ref (if !best_raw <= guard_threshold || !best_norm <= guard_threshold
+                  then Some guard_threshold else None)
+           in
            let rounds = ref 0 in
-           while (not !passed) && !rounds < 8 do
+           while !passed_at = None && !rounds < 8 do
              incr rounds;
              let quota = if !rounds <= 3 then 0.2 else 0.5 in
              let ctl_a = remeasure ~quota guard_control in
@@ -1147,7 +1150,7 @@ let trace_overhead_guard micro =
              if not (Float.is_nan again) then begin
                if again < !ns then ns := again;
                best_raw := Float.min !best_raw (again /. base);
-               if !best_raw <= guard_threshold then passed := true;
+               if !best_raw <= guard_threshold then passed_at := Some guard_threshold;
                match ctl_base with
                | Some cb
                  when (not (Float.is_nan ctl_a)) && (not (Float.is_nan ctl_b))
@@ -1163,17 +1166,20 @@ let trace_overhead_guard micro =
                  if d >= 0.7 && d <= 1.6 then begin
                    let norm = again /. base /. d in
                    best_norm := Float.min !best_norm norm;
-                   if norm <= guard_threshold *. (1. +. res) then passed := true
+                   let widened = guard_threshold *. (1. +. res) in
+                   if norm <= widened && !passed_at = None then passed_at := Some widened
                  end
                | _ -> ()
              end
            done;
            { gk_key = key; gk_base = base; gk_ns = !ns; gk_ratio = !best_raw;
-             gk_norm = !best_norm; gk_pass = !passed }
+             gk_norm = !best_norm;
+             gk_gate =
+               guard_gate key ~ratio:!best_raw ~norm:!best_norm ~passed_at:!passed_at }
          | _ ->
            (* No baseline or no estimate: nothing vouches for the key. *)
            { gk_key = key; gk_base = nan; gk_ns = nan; gk_ratio = nan;
-             gk_norm = nan; gk_pass = false })
+             gk_norm = nan; gk_gate = guard_gate key ~ratio:nan ~norm:nan ~passed_at:None })
       guard_keys
   in
   List.iter
@@ -1184,7 +1190,7 @@ let trace_overhead_guard micro =
          Printf.printf
            "%-24s baseline %6.1f ns  measured %6.1f ns  ratio %.3f (%.3f normalized)  %s\n"
            g.gk_key g.gk_base g.gk_ns g.gk_ratio g.gk_norm
-           (if g.gk_pass then "ok" else "REGRESSION"))
+           (if g.gk_gate.pass then "ok" else "REGRESSION"))
     rows;
   { rows =
       J.row "trace_guard.control_drift" "ratio" drift
@@ -1196,17 +1202,7 @@ let trace_overhead_guard micro =
                 J.row ~labels "trace_guard.ratio" "ratio" g.gk_ratio;
                 J.row ~labels "trace_guard.ratio_normalized" "ratio" g.gk_norm ])
            rows;
-    (* The verdict is the sandwich algorithm's, which may widen the
-       threshold by a round's measured resolution. *)
-    gates =
-      List.map
-        (fun g ->
-           { J.name = "trace_overhead." ^ g.gk_key;
-             value = Float.min g.gk_ratio g.gk_norm;
-             op = Le;
-             bound = guard_threshold;
-             pass = g.gk_pass })
-        rows }
+    gates = List.map (fun g -> g.gk_gate) rows }
 
 (* ---- sud-check: canary hunt, replay determinism, exploration
    throughput (make check-smoke). ---- *)

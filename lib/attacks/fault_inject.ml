@@ -298,8 +298,9 @@ let soak_policy ~max_restarts =
     backlog_limit = 128;
     (* The soak and the fuzzer measure the *cold* recovery path — its
        backoff, its backlog window, its per-class outage baselines
-       (BENCH_5/7).  Warm standby is exercised by its own harnesses
-       ([warm_policy], [upgrade_soak], sud-bench/8). *)
+       ([recovery.outage_ns] in bench/baseline.json).  Warm standby is
+       exercised by its own harnesses ([warm_policy], [upgrade_soak],
+       sud-bench/8). *)
     standby = false }
 
 (* The same aggressive watchdog with the warm standby on: lethal faults

@@ -2,42 +2,10 @@
 
     Every [bench/main.exe] mode produces one {!doc}: flat measurement
     {!row}s plus the {!gate}s judged on them, written by {!write} as
-    schema ["sud-bench/10"].  The gates' reference values live in one
-    read-only file in the same schema, read through {!baseline}; no mode
-    writes it.
-
-    The JSON layer underneath is general: the parser reads every
-    document ever checked in, including the frozen [BENCH_1..9.json]
-    history (schemas [sud-bench/1] to [/9]).  The printer is
-    deterministic (two-space indent, short collections inlined) and the
-    parser is total on its output: for every [v],
-    [of_string (to_string v) = Ok v] once floats are built through
-    {!fnum}. *)
-
-type t =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | Str of string
-  | List of t list
-  | Obj of (string * t) list
-
-val fnum : ?dp:int -> float -> t
-(** A float field rounded to [dp] decimal places (default 3).  NaN and
-    infinities become [Null], the convention for "no estimate". *)
-
-val to_string : t -> string
-(** Render with a trailing newline, ready for the file. *)
-
-val of_string : string -> (t, string) result
-(** Full JSON parser (numbers, strings with escapes, nested
-    collections).  Numbers without [.]/[e] that fit in [int] parse as
-    {!Int}, everything else as {!Float}.  Errors carry the byte
-    offset. *)
-
-val of_file : string -> (t, string) result
-(** [Error] on unreadable files as well as unparseable ones. *)
+    schema ["sud-bench/10"] through the {!Json} codec.  The gates'
+    reference values live in one read-only file in the same schema,
+    [bench/baseline.json], read through {!baseline}; no mode writes
+    it. *)
 
 (** {1 The sud-bench/10 document} *)
 
@@ -56,16 +24,21 @@ type op = Lt | Le | Eq | Ge | Gt
 
 val op_to_string : op -> string
 
-type gate = { name : string; value : float; op : op; bound : float; pass : bool }
+type gate = private { name : string; value : float; op : op; bound : float; pass : bool }
 
 val gate : string -> float -> op -> float -> gate
 (** [gate name value op bound] passes iff [value op bound] holds.  A NaN
-    value, which is what a missing baseline yields, fails every op. *)
+    value, which is what a missing baseline yields, fails every op.
+    This is the only way to build a gate, so a gate line never
+    contradicts itself. *)
 
 type doc = { mode : string; rows : row list; gates : gate list; pass : bool }
 
-val to_json : doc -> t
-val of_json : t -> (doc, string) result
+val to_json : doc -> Json.t
+
+val of_json : Json.t -> (doc, string) result
+(** Each gate's [pass] is recomputed from the value, op and bound as
+    read. *)
 
 val write : path:string -> doc -> unit
 

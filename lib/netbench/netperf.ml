@@ -380,7 +380,7 @@ type batch_point = {
 
 (* The batch sweep runs on a 10 GbE medium: at 1 Gb/s the 64-byte-payload
    flood saturates the wire itself at ~1.126 Mpps (111 bytes on the wire
-   per frame), which is exactly where BENCH_4's 4- and 8-queue points sit
+   per frame), which is exactly where the baseline's 4-queue mq.kpps sits
    — no datapath change can move a line-rate-bound number.  Ten gigabit
    puts the bottleneck back on per-frame CPU cost, which is what frame
    aggregation and the fused copy+checksum attack. *)

@@ -102,7 +102,8 @@ type batch_point = {
 
 val batch_rate_bps : int
 (** Link speed of the batch sweep (10 Gb/s): at 1 Gb/s the 64-byte flood
-    is line-rate-bound at ~1.126 Mpps — BENCH_4's 4q/8q plateau — so the
+    is line-rate-bound at ~1.126 Mpps — the 4-queue [mq.kpps] row of
+    [bench/baseline.json] — so the
     per-frame CPU costs the batched datapath removes would be invisible. *)
 
 val udp_batch_rx : queues:int -> batch:int -> batch_point

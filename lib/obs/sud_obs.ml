@@ -1,47 +1,7 @@
 (* Unified observability: the metrics registry and the causal trace ring.
-   See sud_obs.mli for the design rationale.  Dependency-free on purpose —
-   every layer of the repo (hw, kernel, uchan, core) sits above it. *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\t' -> Buffer.add_string b "\\t"
-       | '\r' -> Buffer.add_string b "\\r"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_unescape s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i < n then begin
-      match s.[i] with
-      | '\\' when i + 1 < n ->
-        (match s.[i + 1] with
-         | '"' -> Buffer.add_char b '"'; go (i + 2)
-         | '\\' -> Buffer.add_char b '\\'; go (i + 2)
-         | 'n' -> Buffer.add_char b '\n'; go (i + 2)
-         | 't' -> Buffer.add_char b '\t'; go (i + 2)
-         | 'r' -> Buffer.add_char b '\r'; go (i + 2)
-         | 'u' when i + 5 < n ->
-           (match int_of_string_opt ("0x" ^ String.sub s (i + 2) 4) with
-            | Some code when code < 256 -> Buffer.add_char b (Char.chr code)
-            | Some _ | None -> ());
-           go (i + 6)
-         | c -> Buffer.add_char b c; go (i + 2))
-      | c -> Buffer.add_char b c; go (i + 1)
-    end
-  in
-  go 0;
-  Buffer.contents b
+   See sud_obs.mli for the design rationale.  It depends on nothing but
+   the Json codec, on purpose: every layer of the repo (sim, hw, kernel,
+   uchan, core) sits above it. *)
 
 module Metrics = struct
   type counter = { mutable c_v : int }
@@ -197,32 +157,27 @@ module Metrics = struct
       ^ "}"
 
   let to_json snap =
-    let b = Buffer.create 1024 in
-    Buffer.add_string b "{";
-    List.iteri
-      (fun gi g ->
-         if gi > 0 then Buffer.add_string b ",";
-         Buffer.add_string b (Printf.sprintf "\n  \"%s\": {" (json_escape g.g_subsystem));
-         List.iteri
-           (fun si s ->
-              if si > 0 then Buffer.add_string b ",";
-              let key = s.s_name ^ labels_to_string s.s_labels in
-              Buffer.add_string b (Printf.sprintf "\n    \"%s\": " (json_escape key));
-              (match s.s_value with
-               | Counter v -> Buffer.add_string b (Printf.sprintf "{ \"counter\": %d }" v)
-               | Gauge v -> Buffer.add_string b (Printf.sprintf "{ \"gauge\": %d }" v)
-               | Histogram { buckets; count; sum } ->
-                 Buffer.add_string b
-                   (Printf.sprintf
-                      "{ \"histogram\": { \"count\": %d, \"sum\": %d, \"log2_buckets\": { %s } } }"
-                      count sum
-                      (String.concat ", "
-                         (List.map (fun (i, n) -> Printf.sprintf "\"%d\": %d" i n) buckets)))))
-           g.g_samples;
-         Buffer.add_string b "\n  }")
-      snap;
-    Buffer.add_string b "\n}\n";
-    Buffer.contents b
+    let value : value -> Json.t = function
+      | Counter v -> Obj [ ("counter", Int v) ]
+      | Gauge v -> Obj [ ("gauge", Int v) ]
+      | Histogram { buckets; count; sum } ->
+        Obj
+          [ ( "histogram",
+              Obj
+                [ ("count", Int count); ("sum", Int sum);
+                  ( "log2_buckets",
+                    Obj (List.map (fun (i, n) -> (string_of_int i, Json.Int n)) buckets) ) ] ) ]
+    in
+    Json.to_string
+      (Obj
+         (List.map
+            (fun g ->
+               ( g.g_subsystem,
+                 Json.Obj
+                   (List.map
+                      (fun s -> (s.s_name ^ labels_to_string s.s_labels, value s.s_value))
+                      g.g_samples) ))
+            snap))
 
   (* FNV-1a over the canonical JSON rendering: [snapshot] already sorts
      groups and samples, so equal registries hash equal regardless of
@@ -352,109 +307,36 @@ module Trace = struct
 
   (* ---- JSONL ---- *)
 
-  let span_to_line sp =
-    let b = Buffer.create 128 in
-    Buffer.add_string b
-      (Printf.sprintf "{\"id\":%d,\"parent\":%d,\"ts\":%d,\"dur\":%d,\"cat\":\"%s\",\"name\":\"%s\",\"attrs\":{"
-         sp.sp_id sp.sp_parent sp.sp_ts sp.sp_dur (json_escape sp.sp_cat)
-         (json_escape sp.sp_name));
-    List.iteri
-      (fun i (k, v) ->
-         if i > 0 then Buffer.add_char b ',';
-         Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-      sp.sp_attrs;
-    Buffer.add_string b "}}";
-    Buffer.contents b
+  let span_to_json sp : Json.t =
+    Obj
+      [ ("id", Int sp.sp_id); ("parent", Int sp.sp_parent); ("ts", Int sp.sp_ts);
+        ("dur", Int sp.sp_dur); ("cat", Str sp.sp_cat); ("name", Str sp.sp_name);
+        ("attrs", Obj (List.map (fun (k, v) -> (k, Json.Str v)) sp.sp_attrs)) ]
+
+  let span_of_json v =
+    let open Json in
+    { sp_id = int "id" v; sp_parent = int "parent" v; sp_ts = int "ts" v; sp_dur = int "dur" v;
+      sp_cat = str "cat" v; sp_name = str "name" v; sp_attrs = strings "attrs" v }
 
   let to_jsonl () =
-    String.concat "" (List.map (fun sp -> span_to_line sp ^ "\n") (spans ()))
+    let b = Buffer.create 4096 in
+    List.iter
+      (fun sp ->
+         Buffer.add_string b (Json.to_line (span_to_json sp));
+         Buffer.add_char b '\n')
+      (spans ());
+    Buffer.contents b
 
   let write_jsonl ~path =
-    let sps = spans () in
     let oc = open_out path in
-    List.iter (fun sp -> output_string oc (span_to_line sp ^ "\n")) sps;
+    output_string oc (to_jsonl ());
     close_out oc;
-    List.length sps
+    retained ()
 
-  (* A deliberately small parser for the exact shape span_to_line writes:
-     flat object of int fields, two string fields, and a string-to-string
-     attrs object.  Quotes inside values are escaped on the way out, so a
-     raw '"' is always a delimiter here. *)
-  let span_of_line line =
-    let n = String.length line in
-    let int_field key =
-      let pat = "\"" ^ key ^ "\":" in
-      match
-        let rec find i =
-          if i + String.length pat > n then None
-          else if String.sub line i (String.length pat) = pat then Some (i + String.length pat)
-          else find (i + 1)
-        in
-        find 0
-      with
-      | None -> None
-      | Some i ->
-        let j = ref i in
-        while !j < n && (line.[!j] = '-' || (line.[!j] >= '0' && line.[!j] <= '9')) do
-          Stdlib.incr j
-        done;
-        int_of_string_opt (String.sub line i (!j - i))
-    in
-    let raw_string_at i =
-      (* [i] points just past an opening quote; scan to the unescaped close. *)
-      let j = ref i in
-      let rec go () =
-        if !j >= n then None
-        else if line.[!j] = '\\' then begin j := !j + 2; go () end
-        else if line.[!j] = '"' then Some (String.sub line i (!j - i), !j + 1)
-        else begin Stdlib.incr j; go () end
-      in
-      go ()
-    in
-    let string_field key =
-      let pat = "\"" ^ key ^ "\":\"" in
-      let rec find i =
-        if i + String.length pat > n then None
-        else if String.sub line i (String.length pat) = pat then Some (i + String.length pat)
-        else find (i + 1)
-      in
-      match find 0 with
-      | None -> None
-      | Some i -> Option.map (fun (s, _) -> json_unescape s) (raw_string_at i)
-    in
-    let attrs () =
-      let pat = "\"attrs\":{" in
-      let rec find i =
-        if i + String.length pat > n then None
-        else if String.sub line i (String.length pat) = pat then Some (i + String.length pat)
-        else find (i + 1)
-      in
-      match find 0 with
-      | None -> []
-      | Some i ->
-        let rec pairs i acc =
-          if i >= n || line.[i] = '}' then List.rev acc
-          else if line.[i] = '"' then
-            match raw_string_at (i + 1) with
-            | None -> List.rev acc
-            | Some (k, j) ->
-              if j + 1 < n && line.[j] = ':' && line.[j + 1] = '"' then
-                match raw_string_at (j + 2) with
-                | None -> List.rev acc
-                | Some (v, j2) -> pairs j2 ((json_unescape k, json_unescape v) :: acc)
-              else List.rev acc
-          else pairs (i + 1) acc
-        in
-        pairs i []
-    in
-    match int_field "id", int_field "parent", int_field "ts", int_field "dur",
-          string_field "cat", string_field "name"
-    with
-    | Some id, Some parent, Some ts, Some dur, Some cat, Some name ->
-      Some
-        { sp_id = id; sp_parent = parent; sp_ts = ts; sp_dur = dur; sp_cat = cat;
-          sp_name = name; sp_attrs = attrs () }
-    | _ -> None
+  let read_jsonl ~path =
+    Result.bind (Json.of_jsonl_file path) (fun vs ->
+        Result.map_error (( ^ ) (path ^ ": "))
+          (Json.decode (fun () -> List.map span_of_json vs)))
 
   let chain_exists sps chain =
     match chain with

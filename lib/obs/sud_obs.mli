@@ -15,10 +15,13 @@
       yields a causal machine-readable timeline (JSONL) in which a DMA
       fault can be followed back to the RPC that provoked it.
 
+    Both export through the {!Json} codec: the metrics snapshot as one
+    document, the trace as one JSON object per line.
+
     Tracing is disabled by default and compile-out cheap: every call
     site guards on {!Trace.on}, a single load-and-branch, so the
     datapath benches regress by noise only (the bench guard enforces
-    ≤ 5% vs the BENCH_2 baseline). *)
+    ≤ 5% vs the [micro.ns_per_op] rows of [bench/baseline.json]). *)
 
 module Metrics : sig
   (** {1 Handles}
@@ -99,6 +102,10 @@ module Metrics : sig
   (** Groups sorted by subsystem, samples by (name, labels). *)
 
   val to_json : snapshot -> string
+  (** The snapshot as one {!Json} document: subsystem → metric key (name
+      plus [{labels}]) → [{"counter": n}], [{"gauge": n}] or
+      [{"histogram": {"count", "sum", "log2_buckets"}}]. *)
+
   val render_table : snapshot -> string
 
   val snapshot_hash : ?registry:registry -> unit -> int64
@@ -177,13 +184,16 @@ module Trace : sig
   (** {1 JSONL export} *)
 
   val to_jsonl : unit -> string
-  (** One JSON object per line, oldest first. *)
+  (** The retained spans, one {!Json.to_line} object per line, oldest
+      first: [{"id", "parent", "ts", "dur", "cat", "name", "attrs"}] with
+      [attrs] an object of strings. *)
 
   val write_jsonl : path:string -> int
-  (** Returns the number of spans written. *)
+  (** Write {!to_jsonl} to [path]; returns the number of spans written. *)
 
-  val span_of_line : string -> span option
-  (** Parse one line of {!to_jsonl} output back into a span. *)
+  val read_jsonl : path:string -> (span list, string) result
+  (** Read a {!write_jsonl} file back, in file order.  [Error] names the
+      file, and the line when one is not valid JSON. *)
 
   val chain_exists : span list -> (string * string) list -> bool
   (** [chain_exists spans [(c1,n1); (c2,n2); …]] holds when spans

@@ -1,7 +1,7 @@
 (* Scheduler policies over Engine's same-instant choice points, plus the
-   recorder/replayer and the versioned schedule-file format.  Everything
-   here is stdlib-only so any layer (attacks soaks included) can dump a
-   replayable schedule on failure. *)
+   recorder/replayer and the versioned schedule-file format.  Nothing here
+   needs more than the stdlib and the Json codec, so any layer (attacks
+   soaks included) can dump a replayable schedule on failure. *)
 
 type decision = { d_step : int; d_ready : int; d_pick : int }
 
@@ -105,103 +105,70 @@ let file_of ~scenario ~seed ~spec ~trace_hash ~metrics_hash ~steps r =
     f_trace_hash = trace_hash;
     f_metrics_hash = metrics_hash }
 
+(* Seeds and hashes are full 64-bit values, so they travel as "0x…"
+   strings rather than JSON numbers. *)
+let hex v = Json.Str (Printf.sprintf "0x%Lx" v)
+
 let save ~path f =
   let oc = open_out path in
-  Printf.fprintf oc
-    "{\"schedule\":\"%s\",\"scenario\":\"%s\",\"seed\":\"0x%Lx\",\"policy\":\"%s\",\"policy_seed\":\"0x%Lx\",\"p_preempt\":%d}\n"
-    version f.f_scenario f.f_seed f.f_policy f.f_policy_seed f.f_p_preempt;
+  let line v =
+    output_string oc (Json.to_line v);
+    output_char oc '\n'
+  in
+  line
+    (Obj
+       [ ("schedule", Str version); ("scenario", Str f.f_scenario); ("seed", hex f.f_seed);
+         ("policy", Str f.f_policy); ("policy_seed", hex f.f_policy_seed);
+         ("p_preempt", Int f.f_p_preempt) ]);
   List.iter
-    (fun d ->
-       Printf.fprintf oc "{\"step\":%d,\"ready\":%d,\"pick\":%d}\n" d.d_step d.d_ready
-         d.d_pick)
+    (fun d -> line (Obj [ ("step", Int d.d_step); ("ready", Int d.d_ready); ("pick", Int d.d_pick) ]))
     f.f_decisions;
-  Printf.fprintf oc
-    "{\"end\":true,\"points\":%d,\"steps\":%d,\"trace_hash\":\"0x%Lx\",\"metrics_hash\":\"0x%Lx\"}\n"
-    f.f_points f.f_steps f.f_trace_hash f.f_metrics_hash;
+  line
+    (Obj
+       [ ("end", Bool true); ("points", Int f.f_points); ("steps", Int f.f_steps);
+         ("trace_hash", hex f.f_trace_hash); ("metrics_hash", hex f.f_metrics_hash) ]);
   close_out oc
 
-(* Minimal field scanners for our own emissions above — not a general JSON
-   parser (Bench_schema lives higher in the stack and is not reachable
-   from here without a cycle). *)
+let int64 k o =
+  match Int64.of_string_opt (Json.str k o) with
+  | Some v -> v
+  | None -> raise (Json.Bad (k ^ " is not a 64-bit hex string"))
 
-let find_sub line pat =
-  let n = String.length line and m = String.length pat in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub line i m = pat then Some (i + m)
-    else go (i + 1)
-  in
-  go 0
+let is_footer = function
+  | Json.Obj fs -> List.assoc_opt "end" fs = Some (Json.Bool true)
+  | _ -> false
 
-let str_field line key =
-  match find_sub line (Printf.sprintf "\"%s\":\"" key) with
-  | None -> None
-  | Some i ->
-    (match String.index_from_opt line i '"' with
-     | None -> None
-     | Some j -> Some (String.sub line i (j - i)))
-
-let int_field line key =
-  match find_sub line (Printf.sprintf "\"%s\":" key) with
-  | None -> None
-  | Some i ->
-    let j = ref i in
-    let n = String.length line in
-    while !j < n && (match line.[!j] with '0' .. '9' | '-' -> true | _ -> false) do
-      incr j
-    done;
-    if !j = i then None else int_of_string_opt (String.sub line i (!j - i))
-
-let hex_field line key =
-  match str_field line key with None -> None | Some s -> Int64.of_string_opt s
-
+(* Every line must parse, the header must carry this version, and the
+   footer must close the file: a truncated schedule is an error here,
+   not a replay that cannot reproduce its hashes. *)
 let load path =
-  if not (Sys.file_exists path) then Error (Printf.sprintf "%s: no such schedule" path)
-  else begin
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> ());
-    close_in ic;
-    match List.rev !lines with
-    | [] -> Error (Printf.sprintf "%s: empty schedule file" path)
-    | header :: rest ->
-      (match str_field header "schedule" with
-       | Some v when v = version ->
-         let scenario = Option.value ~default:"?" (str_field header "scenario") in
-         let seed = Option.value ~default:0L (hex_field header "seed") in
-         let policy = Option.value ~default:"fifo" (str_field header "policy") in
-         let policy_seed = Option.value ~default:0L (hex_field header "policy_seed") in
-         let p_preempt = Option.value ~default:0 (int_field header "p_preempt") in
-         let ds = ref [] in
-         let footer = ref None in
-         List.iter
-           (fun line ->
-              if int_field line "end" <> None || find_sub line "\"end\":true" <> None
-              then footer := Some line
-              else
-                match
-                  (int_field line "step", int_field line "ready", int_field line "pick")
-                with
-                | Some s, Some r, Some p ->
-                  ds := { d_step = s; d_ready = r; d_pick = p } :: !ds
-                | _ -> ())
-           rest;
-         let foot = Option.value ~default:"" !footer in
-         Ok
-           { f_scenario = scenario;
-             f_seed = seed;
-             f_policy = policy;
-             f_policy_seed = policy_seed;
-             f_p_preempt = p_preempt;
-             f_decisions = List.rev !ds;
-             f_points = Option.value ~default:0 (int_field foot "points");
-             f_steps = Option.value ~default:0 (int_field foot "steps");
-             f_trace_hash = Option.value ~default:0L (hex_field foot "trace_hash");
-             f_metrics_hash = Option.value ~default:0L (hex_field foot "metrics_hash") }
-       | Some v -> Error (Printf.sprintf "%s: schedule version %s (want %s)" path v version)
-       | None -> Error (Printf.sprintf "%s: not a sud-sched file" path))
-  end
+  let open Json in
+  let decision d =
+    if is_footer d then raise (Bad "footer before the last line");
+    { d_step = int "step" d; d_ready = int "ready" d; d_pick = int "pick" d }
+  in
+  let rec split acc = function
+    | [] -> raise (Bad "no footer (truncated file?)")
+    | [ foot ] when is_footer foot -> (List.rev acc, foot)
+    | d :: tl -> split (decision d :: acc) tl
+  in
+  Result.bind (of_jsonl_file path) (fun lines ->
+      Result.map_error (( ^ ) (path ^ ": "))
+        (decode (fun () ->
+             match lines with
+             | [] -> raise (Bad "empty schedule file")
+             | header :: rest ->
+               let v = str "schedule" header in
+               if v <> version then
+                 raise (Bad (Printf.sprintf "schedule version %s (want %s)" v version));
+               let f_decisions, foot = split [] rest in
+               { f_scenario = str "scenario" header;
+                 f_seed = int64 "seed" header;
+                 f_policy = str "policy" header;
+                 f_policy_seed = int64 "policy_seed" header;
+                 f_p_preempt = int "p_preempt" header;
+                 f_decisions;
+                 f_points = int "points" foot;
+                 f_steps = int "steps" foot;
+                 f_trace_hash = int64 "trace_hash" foot;
+                 f_metrics_hash = int64 "metrics_hash" foot })))

@@ -69,7 +69,15 @@ val file_of :
   file
 
 val save : path:string -> file -> unit
-(** Write as JSONL: a version header, one line per decision, a footer
-    carrying the expected trace/metrics hashes. *)
+(** Write as JSONL, one {!Json.to_line} object per line: a version header
+    ([schedule], [scenario], [seed], [policy], [policy_seed],
+    [p_preempt]), one [{step, ready, pick}] line per decision, and a
+    footer ([end: true], [points], [steps], [trace_hash],
+    [metrics_hash]).  Seeds and hashes are ["0x…"] strings, since they
+    use all 64 bits. *)
 
 val load : string -> (file, string) result
+(** Read a {!save} file back.  [Error], naming the file, when a line is
+    not valid JSON or lacks a field, when the header is not
+    ["sud-sched/1"], or when the footer is missing or is not the last
+    line: a truncated file never loads. *)

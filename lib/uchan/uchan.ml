@@ -776,28 +776,6 @@ let wait ?(queue = 0) t =
   in
   loop ~slept:None
 
-(* ---- queue handles ---- *)
-
-module Queue = struct
-  type chan = t
-  type t = { q_chan : chan; q_index : int }
-
-  let get chan index =
-    ignore (qstate_of chan index : qstate);
-    { q_chan = chan; q_index = index }
-
-  let all chan = Array.to_list (Array.init (num_queues chan) (get chan))
-  let index q = q.q_index
-  let chan q = q.q_chan
-
-  let transfer : type r. t -> from:[ `Kernel | `Driver ] -> r mode -> Msg.t -> r =
-   fun q ~from mode m -> transfer q.q_chan ~queue:q.q_index ~from mode m
-
-  let wait q = wait ~queue:q.q_index q.q_chan
-  let reply q m = reply ~queue:q.q_index q.q_chan m
-  let flush q = flush ~queue:q.q_index q.q_chan
-end
-
 let metrics t = t.um
 let hang_timeout t = t.hang_timeout_ns
 let epoch t = t.epoch

@@ -126,28 +126,6 @@ val default_batch_limit : int
 (** Default accumulation threshold (64), used when {!set_batch_limit}
     was never called. *)
 
-(** {1 Queue handles}
-
-    A first-class handle on one (channel, queue) pair, so per-queue
-    fibers and per-queue supervision state can be passed one capability
-    instead of a channel plus a loose index. *)
-
-module Queue : sig
-  type chan = t
-  type t
-
-  val get : chan -> int -> t
-  (** Raises [Invalid_argument] if the index is out of range. *)
-
-  val all : chan -> t list
-  val index : t -> int
-  val chan : t -> chan
-  val transfer : t -> from:[ `Kernel | `Driver ] -> 'r mode -> Msg.t -> 'r
-  val wait : t -> (Msg.t, error) result
-  val reply : t -> Msg.t -> unit
-  val flush : t -> unit
-end
-
 (** {1 Introspection} *)
 
 val hang_timeout_ns : int

@@ -8,6 +8,7 @@ let () =
       ("smoke", Test_smoke.suite); ("security", Test_security.suite); ("devices", Test_devices.suite); ("drivers", Test_drivers.suite); ("supervisor", Test_supervisor.suite); ("props", Test_props.suite); ("obs", Test_obs.suite);
       ("hardening", Test_hardening.suite);
       ("blk", Test_blk.suite);
+      ("json", Test_json.suite);
       ("bench_schema", Test_bench_schema.suite);
       ("conformance", Test_conformance.suite);
       ("ctl", Test_ctl.suite);
