@@ -40,7 +40,7 @@ let open_port grant =
   for i = 0 to nslots - 1 do
     Driver_api.dma_set64 p.rx_ring ~off:(i * 16)
       (Int64.of_int (bufs.Driver_api.dma_addr + (i * bufsz)));
-    p.rx_ring.Driver_api.dma_write ~off:((i * 16) + 8) (Bytes.make 8 '\000')
+    Driver_api.dma_write p.rx_ring ~off:((i * 16) + 8) (Bytes.make 8 '\000')
   done;
   w32 p R.rdbal (rx_ring.Driver_api.dma_addr land 0xFFFFFFFF);
   w32 p R.rdbah (rx_ring.Driver_api.dma_addr lsr 32);
@@ -64,26 +64,26 @@ let forward src dst =
   let continue_ = ref true in
   while !continue_ do
     let off = src.rx_next * 16 in
-    let status = Bytes.get (src.rx_ring.Driver_api.dma_read ~off:(off + 12) ~len:1) 0 in
+    let status = Bytes.get (Driver_api.dma_read src.rx_ring ~off:(off + 12) ~len:1) 0 in
     if Char.code status land R.rxd_sta_dd <> 0 then begin
-      let len = Bytes.get_uint16_le (src.rx_ring.Driver_api.dma_read ~off:(off + 8) ~len:2) 0 in
-      let frame = src.bufs.Driver_api.dma_read ~off:(src.rx_next * bufsz) ~len in
+      let len = Driver_api.dma_get16 src.rx_ring ~off:(off + 8) in
+      let frame = Driver_api.dma_read src.bufs ~off:(src.rx_next * bufsz) ~len in
       (* TX out of the destination port's second buffer half (zero kernel
          involvement; one user-space copy between the two devices). *)
       let slot = dst.tx_tail in
       let txbuf_off = (nslots + slot) * bufsz in
-      dst.bufs.Driver_api.dma_write ~off:txbuf_off frame;
+      Driver_api.dma_write dst.bufs ~off:txbuf_off frame;
       let doff = slot * 16 in
       Driver_api.dma_set64 dst.tx_ring ~off:doff
         (Int64.of_int (dst.bufs.Driver_api.dma_addr + txbuf_off));
       let meta = Bytes.make 8 '\000' in
       Bytes.set_uint16_le meta 0 len;
       Bytes.set meta 3 (Char.chr (R.txd_cmd_eop lor R.txd_cmd_rs));
-      dst.tx_ring.Driver_api.dma_write ~off:(doff + 8) meta;
+      Driver_api.dma_write dst.tx_ring ~off:(doff + 8) meta;
       dst.tx_tail <- (slot + 1) mod nslots;
       w32 dst R.tdt dst.tx_tail;
       (* Recycle the RX descriptor. *)
-      src.rx_ring.Driver_api.dma_write ~off:(off + 8) (Bytes.make 8 '\000');
+      Driver_api.dma_write src.rx_ring ~off:(off + 8) (Bytes.make 8 '\000');
       w32 src R.rdt src.rx_next;
       src.rx_next <- (src.rx_next + 1) mod nslots;
       incr moved

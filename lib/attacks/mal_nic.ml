@@ -18,7 +18,7 @@ let write_desc t slot ~addr ~len ~cmd =
   let meta = Bytes.make 8 '\000' in
   Bytes.set_uint16_le meta 0 len;
   Bytes.set meta 3 (Char.chr cmd);
-  t.ring.Driver_api.dma_write ~off:(off + 8) meta
+  Driver_api.dma_write t.ring ~off:(off + 8) meta
 
 let dma_read_via_tx t ~target ~len =
   write_desc t 0 ~addr:target ~len ~cmd:(R.txd_cmd_eop lor R.txd_cmd_rs);

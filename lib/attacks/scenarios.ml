@@ -151,6 +151,49 @@ let dma_write_corruption () =
             (if intact then "intact" else "CORRUPTED")
             (List.length (Iommu.faults w.k.Kernel.iommu)) })
 
+(* ---- 2b. DMA straddling the end of a mapped page ---- *)
+
+let dma_page_straddle () =
+  let w = make_world () in
+  in_world w (fun () ->
+      let skid = 16 in
+      let drv =
+        Mal_nic.driver
+          ~on_open:(fun t ->
+              let buf = t.Mal_nic.buf in
+              Mal_nic.dma_read_via_tx t
+                ~target:(buf.Driver_api.dma_addr + buf.Driver_api.dma_size - skid)
+                ~len:(skid + String.length secret);
+              Ok ())
+          ()
+      in
+      let s = start_mal w drv in
+      (* The driver's last DMA allocation is its one-page [buf]; plant the
+         secret in the page the allocator hands out next, which must sit
+         right after [buf] in physical memory. *)
+      let grant = Driver_host.grant s in
+      let buf_iova, _ = List.hd (List.rev (Safe_pci.dma_allocations grant)) in
+      let buf_phys =
+        List.find_map
+          (fun (iova, phys, len, _) ->
+             if buf_iova >= iova && buf_iova < iova + len then Some (phys + buf_iova - iova)
+             else None)
+          (Safe_pci.iommu_mappings grant)
+      in
+      let addr = plant_secret w in
+      if buf_phys <> Some (addr - Bus.page_size) then
+        failwith "dma_page_straddle: the secret is not in the page after the driver's buffer";
+      ignore (Netstack.ifconfig_up w.k.Kernel.net (Driver_host.netdev s) : (unit, string) result);
+      settle w 5;
+      let faults = Iommu.faults w.k.Kernel.iommu in
+      { attack = "DMA straddling a mapped page";
+        config = "SUD, VT-d";
+        contained = (not (leaked w)) && faults <> [];
+        evidence =
+          Printf.sprintf "secret %s; %d IOMMU fault(s)"
+            (if leaked w then "LEAKED onto the wire" else "never left memory")
+            (List.length faults) })
+
 (* ---- 3. peer-to-peer DMA ---- *)
 
 let peer_to_peer ~acs =
@@ -170,7 +213,7 @@ let peer_to_peer ~acs =
           ~on_open:(fun t ->
               (* Write the scratch page's first bytes over the victim's
                  registers via device-to-device DMA. *)
-              t.Mal_nic.buf.Driver_api.dma_write ~off:0 (Bytes.make 4 '\xAA');
+              Driver_api.dma_write t.Mal_nic.buf ~off:0 (Bytes.make 4 '\xAA');
               Mal_nic.dma_write_via_rx t ~target;
               Ok ())
           ()
@@ -378,7 +421,7 @@ let toctou ~defensive_copy =
         Mal_nic.driver
           ~on_open:(fun t ->
               region := Some t.Mal_nic.buf;
-              t.Mal_nic.buf.Driver_api.dma_write ~off:0 benign;
+              Driver_api.dma_write t.Mal_nic.buf ~off:0 benign;
               t.Mal_nic.cb.Driver_api.nc_rx ~queue:0
                 ~addr:t.Mal_nic.buf.Driver_api.dma_addr ~len:(Bytes.length benign);
               Ok ())
@@ -403,7 +446,7 @@ let toctou ~defensive_copy =
               | Some r ->
                 let evil = Bytes.copy benign in
                 Bytes.blit_string "EVIL-PAYLOAD" 0 evil 23 12;
-                r.Driver_api.dma_write ~off:0 evil
+                Driver_api.dma_write r ~off:0 evil
               | None -> ())
          : Fiber.t);
       ignore (Netstack.ifconfig_up w.k.Kernel.net dev : (unit, string) result);
@@ -764,6 +807,7 @@ let all () =
   [ dma_read_exfiltration ~sud:false;
     dma_read_exfiltration ~sud:true;
     dma_write_corruption ();
+    dma_page_straddle ();
     peer_to_peer ~acs:false;
     peer_to_peer ~acs:true;
     source_spoofing ~validation:false;

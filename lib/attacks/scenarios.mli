@@ -21,6 +21,12 @@ val dma_read_exfiltration : sud:bool -> outcome
 val dma_write_corruption : unit -> outcome
 (** RX descriptor aimed at kernel memory; a peer frame pulls the trigger. *)
 
+val dma_page_straddle : unit -> outcome
+(** TX descriptor that starts inside the driver's own buffer page and runs
+    on into the next IO-virtual page, which is unmapped, while the
+    physically next page holds a kernel secret: the IOMMU must check
+    every page a transfer touches, not just the first. *)
+
 val peer_to_peer : acs:bool -> outcome
 (** DMA into a sibling device's BAR, with and without PCIe ACS. *)
 

@@ -11,27 +11,68 @@ type pio = {
 type dma_region = {
   dma_addr : int;
   dma_size : int;
-  dma_read : off:int -> len:int -> bytes;
-  dma_write : off:int -> bytes -> unit;
+  dma_blit_out : off:int -> dst:bytes -> dst_off:int -> len:int -> unit;
+  dma_blit_in : off:int -> src:bytes -> src_off:int -> len:int -> unit;
+  dma_get : off:int -> size:int -> int;
+  dma_set : off:int -> size:int -> int -> unit;
 }
 
-let dma_get32 r ~off =
-  let b = r.dma_read ~off ~len:4 in
-  Int32.to_int (Bytes.get_int32_le b 0) land 0xFFFFFFFF
+let check_range name ~size off len =
+  if off < 0 || len < 0 || off + len > size then invalid_arg (name ^ " out of range")
 
-let dma_set32 r ~off v =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int v);
-  r.dma_write ~off b
+let phys_region mem ~addr ~phys ~size =
+  let check name off len = check_range name ~size off len in
+  { dma_addr = addr;
+    dma_size = size;
+    dma_blit_out =
+      (fun ~off ~dst ~dst_off ~len ->
+         check "dma_read" off len;
+         Phys_mem.blit_out mem ~addr:(phys + off) ~dst ~dst_off ~len);
+    dma_blit_in =
+      (fun ~off ~src ~src_off ~len ->
+         check "dma_write" off len;
+         Phys_mem.blit_in mem ~addr:(phys + off) ~src ~src_off ~len);
+    dma_get =
+      (fun ~off ~size:n ->
+         check "dma_read" off n;
+         match n with
+         | 1 -> Phys_mem.read8 mem (phys + off)
+         | 2 -> Phys_mem.read16 mem (phys + off)
+         | 4 -> Phys_mem.read32 mem (phys + off)
+         | _ -> invalid_arg "dma_get: size must be 1, 2 or 4");
+    dma_set =
+      (fun ~off ~size:n v ->
+         check "dma_write" off n;
+         match n with
+         | 1 -> Phys_mem.write8 mem (phys + off) v
+         | 2 -> Phys_mem.write16 mem (phys + off) v
+         | 4 -> Phys_mem.write32 mem (phys + off) v
+         | _ -> invalid_arg "dma_set: size must be 1, 2 or 4") }
 
+let dma_read r ~off ~len =
+  let b = Bytes.create len in
+  r.dma_blit_out ~off ~dst:b ~dst_off:0 ~len;
+  b
+
+let dma_write r ~off data = r.dma_blit_in ~off ~src:data ~src_off:0 ~len:(Bytes.length data)
+
+let dma_get8 r ~off = r.dma_get ~off ~size:1
+let dma_get16 r ~off = r.dma_get ~off ~size:2
+let dma_get32 r ~off = r.dma_get ~off ~size:4
+let dma_set32 r ~off v = r.dma_set ~off ~size:4 v
+
+(* 64-bit accesses are two 32-bit halves, checked whole first so a bad
+   offset moves nothing. *)
 let dma_get64 r ~off =
-  let b = r.dma_read ~off ~len:8 in
-  Bytes.get_int64_le b 0
+  check_range "dma_read" ~size:r.dma_size off 8;
+  Int64.logor
+    (Int64.of_int (r.dma_get ~off ~size:4))
+    (Int64.shift_left (Int64.of_int (r.dma_get ~off:(off + 4) ~size:4)) 32)
 
 let dma_set64 r ~off v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  r.dma_write ~off b
+  check_range "dma_write" ~size:r.dma_size off 8;
+  r.dma_set ~off ~size:4 (Int64.to_int v land 0xFFFFFFFF);
+  r.dma_set ~off:(off + 4) ~size:4 (Int64.to_int (Int64.shift_right_logical v 32))
 
 type pcidev = {
   pd_vendor : int;

@@ -30,12 +30,28 @@ type dma_region = {
       (** the bus address to program into the device (an IO virtual
           address under SUD, a physical address in-kernel) *)
   dma_size : int;
-  dma_read : off:int -> len:int -> bytes;
-  dma_write : off:int -> bytes -> unit;
+  dma_blit_out : off:int -> dst:bytes -> dst_off:int -> len:int -> unit;
+      (** copy [len] bytes at region offset [off] into [dst] *)
+  dma_blit_in : off:int -> src:bytes -> src_off:int -> len:int -> unit;
+      (** copy [len] bytes of [src] to region offset [off] *)
+  dma_get : off:int -> size:int -> int;
+      (** little-endian scalar of [size] 1, 2 or 4 bytes *)
+  dma_set : off:int -> size:int -> int -> unit;
 }
+(** A driver's DMA-coherent memory.  Every accessor is bounds-checked
+    against the region and raises [Invalid_argument] outside it. *)
 
-(** 32/64-bit little-endian helpers over a [dma_region]. *)
+val phys_region : Phys_mem.t -> addr:int -> phys:int -> size:int -> dma_region
+(** The region of [size] bytes backed by physical memory at [phys],
+    programmed into devices as bus address [addr]. *)
 
+(** Copying and little-endian scalar helpers over a [dma_region]; none
+    allocates beyond its result. *)
+
+val dma_read : dma_region -> off:int -> len:int -> bytes
+val dma_write : dma_region -> off:int -> bytes -> unit
+val dma_get8 : dma_region -> off:int -> int
+val dma_get16 : dma_region -> off:int -> int
 val dma_get32 : dma_region -> off:int -> int
 val dma_set32 : dma_region -> off:int -> int -> unit
 val dma_get64 : dma_region -> off:int -> int64

@@ -88,8 +88,7 @@ let open_device sp ?quota ~bdf ~proc (count, buf_size) =
   in
   let pool =
     Bufpool.create
-      ~read:(fun ~off ~len -> region.Driver_api.dma_read ~off ~len)
-      ~write:(fun ~off ~data -> region.Driver_api.dma_write ~off data)
+      ~blit_out:region.Driver_api.dma_blit_out ~blit_in:region.Driver_api.dma_blit_in
       ~base_addr:region.Driver_api.dma_addr ~count ~buf_size
   in
   Ok (grant, pool)

@@ -74,20 +74,8 @@ let pcidev (k : Kernel.t) bdf ~label =
       else begin
         let pages = (bytes + Bus.page_mask) / Bus.page_size in
         let phys = Phys_mem.alloc_pages k.Kernel.mem ~pages in
-        let size = pages * Bus.page_size in
-        Ok
-          { Driver_api.dma_addr = phys;   (* trusted drivers use physical addresses *)
-            dma_size = size;
-            dma_read =
-              (fun ~off ~len ->
-                 if off < 0 || len < 0 || off + len > size then
-                   invalid_arg "dma_read out of range";
-                 Phys_mem.read k.Kernel.mem ~addr:(phys + off) ~len);
-            dma_write =
-              (fun ~off data ->
-                 if off < 0 || off + Bytes.length data > size then
-                   invalid_arg "dma_write out of range";
-                 Phys_mem.write k.Kernel.mem ~addr:(phys + off) data) }
+        (* Trusted drivers use physical addresses. *)
+        Ok (Driver_api.phys_region k.Kernel.mem ~addr:phys ~phys ~size:(pages * Bus.page_size))
       end
     in
     let free_dma (r : Driver_api.dma_region) =

@@ -295,8 +295,7 @@ let handle_complete t m =
          let len = min (br.br_count * Blkdev.sector_size) (Bytes.length rq.Blkdev.rq_data) in
          Driver_api.charge t.k.Kernel.cpu ~label:"kernel:sud"
            (Cost_model.copy_cost (model t) ~bytes:len);
-         let data = Bufpool.read t.pool buf ~off:0 ~len in
-         Bytes.blit data 0 rq.Blkdev.rq_data 0 len
+         Bufpool.blit_out t.pool buf ~off:0 ~dst:rq.Blkdev.rq_data ~dst_off:0 ~len
        | _ -> ());
     if br.br_buf >= 0 then begin
       Bufpool.free t.pool br.br_buf;

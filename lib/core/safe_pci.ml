@@ -352,22 +352,7 @@ let alloc_dma g ?(coherent = true) ~bytes () =
       Iommu.map g.g.k.Kernel.iommu g.g_domain ~iova ~phys ~len:(pages * Bus.page_size)
         ~writable:true;
       g.g_allocs <- { da_iova = iova; da_phys = phys; da_pages = pages } :: g.g_allocs;
-      let mem = g.g.k.Kernel.mem in
-      let read ~off ~len =
-        if off < 0 || len < 0 || off + len > pages * Bus.page_size then
-          invalid_arg "dma_read out of range";
-        Phys_mem.read mem ~addr:(phys + off) ~len
-      in
-      let write ~off data =
-        if off < 0 || off + Bytes.length data > pages * Bus.page_size then
-          invalid_arg "dma_write out of range";
-        Phys_mem.write mem ~addr:(phys + off) data
-      in
-      Ok
-        { Driver_api.dma_addr = iova;
-          dma_size = pages * Bus.page_size;
-          dma_read = read;
-          dma_write = write }
+      Ok (Driver_api.phys_region g.g.k.Kernel.mem ~addr:iova ~phys ~size:(pages * Bus.page_size))
   end
 
 let free_dma g region =

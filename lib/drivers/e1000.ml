@@ -60,30 +60,27 @@ let read_mac st =
 let write_tx_desc q slot ~addr ~len ~cmd =
   let off = slot * R.desc_size in
   Driver_api.dma_set64 q.tx_ring ~off (Int64.of_int addr);
-  let meta = Bytes.make 8 '\000' in
-  Bytes.set_uint16_le meta 0 len;
-  Bytes.set meta 3 (Char.chr cmd);
-  Bytes.set meta 4 '\000';              (* status *)
-  q.tx_ring.Driver_api.dma_write ~off:(off + 8) meta
+  (* length, cso 0, cmd; then status, css and special all 0 *)
+  Driver_api.dma_set32 q.tx_ring ~off:(off + 8) ((len land 0xFFFF) lor ((cmd land 0xFF) lsl 24));
+  Driver_api.dma_set32 q.tx_ring ~off:(off + 12) 0
 
 let tx_desc_done q slot =
   let off = (slot * R.desc_size) + 12 in
-  let b = q.tx_ring.Driver_api.dma_read ~off ~len:1 in
-  Char.code (Bytes.get b 0) land R.txd_sta_dd <> 0
+  Driver_api.dma_get8 q.tx_ring ~off land R.txd_sta_dd <> 0
 
 let setup_rx_desc q slot =
   let off = slot * R.desc_size in
   let buf_addr = q.rx_bufs.Driver_api.dma_addr + (slot * rx_buf_size) in
   Driver_api.dma_set64 q.rx_ring ~off (Int64.of_int buf_addr);
-  q.rx_ring.Driver_api.dma_write ~off:(off + 8) (Bytes.make 8 '\000')
+  Driver_api.dma_set64 q.rx_ring ~off:(off + 8) 0L
 
 let rx_desc_status q slot =
   let off = (slot * R.desc_size) + 12 in
-  Char.code (Bytes.get (q.rx_ring.Driver_api.dma_read ~off ~len:1) 0)
+  Driver_api.dma_get8 q.rx_ring ~off
 
 let rx_desc_len q slot =
   let off = (slot * R.desc_size) + 8 in
-  Bytes.get_uint16_le (q.rx_ring.Driver_api.dma_read ~off ~len:2) 0
+  Driver_api.dma_get16 q.rx_ring ~off
 
 (* ---- interrupt handler (the driver's top half) ---- *)
 

@@ -23,13 +23,13 @@ let submit st ~devaddr ~ep ~ep_type ~dir ~data ~len =
   else Sync.Mutex.with_lock st.xfer_lock @@ fun () -> begin
     let base = st.sched.Driver_api.dma_addr in
     (match data with
-     | Some d -> st.sched.Driver_api.dma_write ~off:buf_off d
+     | Some d -> Driver_api.dma_write st.sched ~off:buf_off d
      | None -> ());
     (* qTD *)
     Driver_api.dma_set64 st.sched ~off:qtd_off 0L;
     let flags = Bytes.make 8 '\000' in
     Bytes.set flags 0 (Char.chr (R.qtd_active lor R.qtd_ioc));
-    st.sched.Driver_api.dma_write ~off:(qtd_off + 8) flags;
+    Driver_api.dma_write st.sched ~off:(qtd_off + 8) flags;
     Driver_api.dma_set32 st.sched ~off:(qtd_off + 12) len;
     Driver_api.dma_set64 st.sched ~off:(qtd_off + 16) (Int64.of_int (base + buf_off));
     Driver_api.dma_set32 st.sched ~off:(qtd_off + 24) 0;
@@ -40,7 +40,7 @@ let submit st ~devaddr ~ep ~ep_type ~dir ~data ~len =
     Bytes.set hdr 1 (Char.chr ep);
     Bytes.set hdr 2 (Char.chr ep_type);
     Bytes.set hdr 3 (Char.chr dir);
-    st.sched.Driver_api.dma_write ~off:(qh_off + 8) hdr;
+    Driver_api.dma_write st.sched ~off:(qh_off + 8) hdr;
     Driver_api.dma_set64 st.sched ~off:(qh_off + 16) (Int64.of_int (base + qtd_off));
     w32 st R.asynclistaddr (base + qh_off);
     w32 st R.usbcmd R.cmd_run;
@@ -49,9 +49,9 @@ let submit st ~devaddr ~ep ~ep_type ~dir ~data ~len =
        rather than a long one. *)
     let tries = if ep_type = R.ep_type_interrupt then 4 else 64 in
     let rec poll n =
-      let flags = Char.code (Bytes.get (st.sched.Driver_api.dma_read ~off:(qtd_off + 8) ~len:1) 0) in
+      let flags = Driver_api.dma_get8 st.sched ~off:(qtd_off + 8) in
       if flags land R.qtd_active = 0 then begin
-        let status = Char.code (Bytes.get (st.sched.Driver_api.dma_read ~off:(qtd_off + 9) ~len:1) 0) in
+        let status = Driver_api.dma_get8 st.sched ~off:(qtd_off + 9) in
         let actual = Driver_api.dma_get32 st.sched ~off:(qtd_off + 24) in
         if status = 0 then Ok actual else Error (Printf.sprintf "stall (status %d)" status)
       end
@@ -62,7 +62,7 @@ let submit st ~devaddr ~ep ~ep_type ~dir ~data ~len =
            between our last look and the removal. *)
         w32 st R.asynclistaddr 0;
         let flags =
-          Char.code (Bytes.get (st.sched.Driver_api.dma_read ~off:(qtd_off + 8) ~len:1) 0)
+          Driver_api.dma_get8 st.sched ~off:(qtd_off + 8)
         in
         if flags land R.qtd_active = 0 then poll 1 else Error "transfer timed out (NAK)"
       end
@@ -74,7 +74,7 @@ let submit st ~devaddr ~ep ~ep_type ~dir ~data ~len =
     poll tries
   end
 
-let read_back st len = st.sched.Driver_api.dma_read ~off:buf_off ~len
+let read_back st len = Driver_api.dma_read st.sched ~off:buf_off ~len
 
 (* Submit + copy the completion data out while still holding no lock gap:
    the buffer is only valid until the next transfer reuses the arena, so

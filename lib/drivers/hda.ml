@@ -28,7 +28,7 @@ let fill_period st slot =
     Buffer.clear st.pending;
     Buffer.add_string st.pending rest
   end;
-  st.pcm.Driver_api.dma_write ~off:(slot * period_bytes) data
+  Driver_api.dma_write st.pcm ~off:(slot * period_bytes) data
 
 let irq_handler st () =
   let sts = r32 st R.sd0_sts in

@@ -55,7 +55,7 @@ let rec rx_drain st =
       st.env.Driver_api.env_consume 300;
       (* Stage in the bounce region so the environment can take it by bus
          address, like any other driver. *)
-      st.bounce.Driver_api.dma_write ~off:0 frame;
+      Driver_api.dma_write st.bounce ~off:0 frame;
       st.cb.Driver_api.nc_rx ~queue:0 ~addr:st.bounce.Driver_api.dma_addr ~len;
       st.next_pkt <- next;
       outb st R.bnry (if next = rx_start then rx_stop - 1 else next - 1);

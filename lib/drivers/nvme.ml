@@ -22,6 +22,7 @@ type queue = {
   mutable cq_head : int;
   mutable phase : int;               (* phase value we expect next *)
   mutable outstanding : int;
+  sqe : bytes;                       (* a submission entry being built *)
 }
 
 type state = {
@@ -91,14 +92,15 @@ let submit st ~queue ~tag ~op ~lba ~count ~addr =
     let slot = q.sq_tail in
     let off = slot * R.sqe_size in
     st.env.Driver_api.env_consume 350;
-    let sqe = Bytes.make R.sqe_size '\000' in
+    let sqe = q.sqe in
+    Bytes.fill sqe 0 R.sqe_size '\000';
     Bytes.set sqe 0 (Char.chr opcode);
     Bytes.set sqe 1 (Char.chr flags);
     Bytes.set_uint16_le sqe 2 slot;
     Bytes.set_int64_le sqe 8 (Int64.of_int addr);
     Bytes.set_int64_le sqe 16 (Int64.of_int lba);
     Bytes.set_int32_le sqe 24 (Int32.of_int count);
-    q.sq.Driver_api.dma_write ~off sqe;
+    Driver_api.dma_write q.sq ~off sqe;
     q.tags.(slot) <- tag;
     q.outstanding <- q.outstanding + 1;
     q.sq_tail <- (slot + 1) mod sq_entries;
@@ -128,10 +130,10 @@ let probe env pdev cb =
               let cq = alloc "cq" (sq_entries * R.cqe_size) in
               (* The completion ring must start phase-0 so the first pass
                  of device writes (phase 1) is distinguishable. *)
-              cq.Driver_api.dma_write ~off:0
+              Driver_api.dma_write cq ~off:0
                 (Bytes.make (sq_entries * R.cqe_size) '\000');
               { qi; sq; cq; tags = Array.make sq_entries (-1); sq_tail = 0;
-                cq_head = 0; phase = 1; outstanding = 0 })
+                cq_head = 0; phase = 1; outstanding = 0; sqe = Bytes.create R.sqe_size })
         with
         | exception Failure e -> Error e
         | qs ->

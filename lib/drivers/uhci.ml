@@ -23,7 +23,7 @@ let submit st ~pid ~devaddr ~ep ~data ~len =
   if len > buf_max then Error "transfer too large"
   else Sync.Mutex.with_lock st.xfer_lock @@ fun () ->
     (match data with
-     | Some d -> st.tds.Driver_api.dma_write ~off:buf_off d
+     | Some d -> Driver_api.dma_write st.tds ~off:buf_off d
      | None -> ());
     let base = st.tds.Driver_api.dma_addr in
     let td = Bytes.make R.td_size '\000' in
@@ -32,24 +32,23 @@ let submit st ~pid ~devaddr ~ep ~data ~len =
     Bytes.set_int32_le td 8
       (Int32.of_int (pid lor (devaddr lsl 8) lor (ep lsl 15) lor (len lsl 21)));
     Bytes.set_int32_le td 12 (Int32.of_int (base + buf_off));
-    st.tds.Driver_api.dma_write ~off:td_off td;
+    Driver_api.dma_write st.tds ~off:td_off td;
     let slot_entry = Bytes.create 4 in
     Bytes.set_int32_le slot_entry 0 (Int32.of_int (base + td_off));
     for i = 0 to R.frame_entries - 1 do
-      st.frames.Driver_api.dma_write ~off:(4 * i) slot_entry
+      Driver_api.dma_write st.frames ~off:(4 * i) slot_entry
     done;
     let unlink () =
       let terminate = Bytes.create 4 in
       Bytes.set_int32_le terminate 0 (Int32.of_int R.lp_terminate);
       for i = 0 to R.frame_entries - 1 do
-        st.frames.Driver_api.dma_write ~off:(4 * i) terminate
+        Driver_api.dma_write st.frames ~off:(4 * i) terminate
       done
     in
     let tries = if pid = R.pid_in && ep > 0 then 4 else 64 in
     let rec poll n =
       let ctrl =
-        Int32.to_int (Bytes.get_int32_le (st.tds.Driver_api.dma_read ~off:(td_off + 4) ~len:4) 0)
-        land 0xFFFFFFFF
+        Driver_api.dma_get32 st.tds ~off:(td_off + 4)
       in
       if ctrl land R.td_active = 0 then begin
         unlink ();
@@ -60,9 +59,7 @@ let submit st ~pid ~devaddr ~ep ~data ~len =
         unlink ();
         (* Re-check: the HC may have completed it during the unlink. *)
         let ctrl =
-          Int32.to_int
-            (Bytes.get_int32_le (st.tds.Driver_api.dma_read ~off:(td_off + 4) ~len:4) 0)
-          land 0xFFFFFFFF
+          Driver_api.dma_get32 st.tds ~off:(td_off + 4)
         in
         if ctrl land R.td_active = 0 && ctrl land R.td_stalled = 0 then Ok (ctrl land 0x7FF)
         else Error "transfer timed out (NAK)"
@@ -74,7 +71,7 @@ let submit st ~pid ~devaddr ~ep ~data ~len =
     in
     poll tries
 
-let read_back st len = st.tds.Driver_api.dma_read ~off:buf_off ~len
+let read_back st len = Driver_api.dma_read st.tds ~off:buf_off ~len
 
 let control st ~devaddr ~setup ~dir_in ~len =
   if Bytes.length setup <> 8 then Error "setup must be 8 bytes"
@@ -172,7 +169,7 @@ let probe env pdev =
           let terminate = Bytes.create 4 in
           Bytes.set_int32_le terminate 0 (Int32.of_int R.lp_terminate);
           for i = 0 to R.frame_entries - 1 do
-            st.frames.Driver_api.dma_write ~off:(4 * i) terminate
+            Driver_api.dma_write st.frames ~off:(4 * i) terminate
           done;
           outw st R.frbaseadd (frames.Driver_api.dma_addr land 0xFFFF);
           outw st (R.frbaseadd + 2) (frames.Driver_api.dma_addr lsr 16);

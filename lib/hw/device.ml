@@ -7,8 +7,10 @@ type ops = {
 }
 
 type host_iface = {
-  dma_read : source:Bus.bdf -> addr:int -> len:int -> (bytes, Bus.fault) result;
-  dma_write : source:Bus.bdf -> addr:int -> data:bytes -> (unit, Bus.fault) result;
+  dma_read_into :
+    source:Bus.bdf -> addr:int -> dst:bytes -> dst_off:int -> len:int -> (unit, Bus.fault) result;
+  dma_write_from :
+    source:Bus.bdf -> addr:int -> src:bytes -> src_off:int -> len:int -> (unit, Bus.fault) result;
 }
 
 type t = {
@@ -18,6 +20,7 @@ type t = {
   mutable dbdf : Bus.bdf option;
   mutable host : host_iface option;
   mutable spoof : Bus.bdf option;
+  msg : bytes;                  (* an MSI message's 4 data bytes *)
 }
 
 let no_io =
@@ -28,7 +31,9 @@ let no_io =
     io_write = (fun ~bar:_ ~off:_ ~size:_ _ -> fail ());
     reset = (fun () -> fail ()) }
 
-let create ~name ~cfg ~ops = { dname = name; dcfg = cfg; dops = ops; dbdf = None; host = None; spoof = None }
+let create ~name ~cfg ~ops =
+  { dname = name; dcfg = cfg; dops = ops; dbdf = None; host = None; spoof = None;
+    msg = Bytes.create 4 }
 
 let name t = t.dname
 let cfg t = t.dcfg
@@ -52,24 +57,33 @@ let source t = match t.spoof with Some s -> s | None -> bdf t
 
 let mastering t = Pci_cfg.command_has t.dcfg Pci_cfg.cmd_bus_master
 
-let dma_read t ~addr ~len =
+let dma_read_into t ~addr ~dst ~dst_off ~len =
+  if dst_off < 0 || len < 0 || dst_off + len > Bytes.length dst then
+    invalid_arg "Device.dma_read_into";
   match t.host with
   | None -> Error (Bus.Bus_abort { addr })
   | Some h ->
     if not (mastering t) then Error (Bus.Bus_abort { addr })
-    else h.dma_read ~source:(source t) ~addr ~len
+    else h.dma_read_into ~source:(source t) ~addr ~dst ~dst_off ~len
 
-let dma_write t ~addr ~data =
+let dma_write_from t ~addr ~src ~src_off ~len =
+  if src_off < 0 || len < 0 || src_off + len > Bytes.length src then
+    invalid_arg "Device.dma_write_from";
   match t.host with
   | None -> Error (Bus.Bus_abort { addr })
   | Some h ->
     if not (mastering t) then Error (Bus.Bus_abort { addr })
-    else h.dma_write ~source:(source t) ~addr ~data
+    else h.dma_write_from ~source:(source t) ~addr ~src ~src_off ~len
+
+let dma_read t ~addr ~len =
+  let b = Bytes.create len in
+  match dma_read_into t ~addr ~dst:b ~dst_off:0 ~len with Ok () -> Ok b | Error f -> Error f
+
+let dma_write t ~addr ~data = dma_write_from t ~addr ~src:data ~src_off:0 ~len:(Bytes.length data)
 
 let send_message t ~addr ~data =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int data);
-  dma_write t ~addr ~data:b
+  Bytes.set_int32_le t.msg 0 (Int32.of_int data);
+  dma_write t ~addr ~data:t.msg
 
 let raise_msi t =
   if Pci_cfg.msi_enabled t.dcfg && not (Pci_cfg.msi_masked t.dcfg) then

@@ -17,9 +17,14 @@ type ops = {
 }
 
 type host_iface = {
-  dma_read : source:Bus.bdf -> addr:int -> len:int -> (bytes, Bus.fault) result;
-  dma_write : source:Bus.bdf -> addr:int -> data:bytes -> (unit, Bus.fault) result;
+  dma_read_into :
+    source:Bus.bdf -> addr:int -> dst:bytes -> dst_off:int -> len:int -> (unit, Bus.fault) result;
+  dma_write_from :
+    source:Bus.bdf -> addr:int -> src:bytes -> src_off:int -> len:int -> (unit, Bus.fault) result;
 }
+(** How the platform carries a device's DMA: bytes move by blit between
+    the device's buffer and host memory, and every IO-virtual page the
+    transfer touches is translated before any byte moves. *)
 
 type t
 
@@ -40,11 +45,22 @@ val set_spoof_source : t -> Bus.bdf option -> unit
 (** Make the device lie about its requester ID on subsequent DMA — the
     attack ACS source validation exists to stop. *)
 
+val dma_read_into : t -> addr:int -> dst:bytes -> dst_off:int -> len:int -> (unit, Bus.fault) result
+(** Device-initiated DMA read of [len] bytes at bus address [addr] into
+    [dst] from [dst_off].  Silently aborts (returns [Bus_abort]) when bus
+    mastering is disabled in the command register.  A fault on any page
+    moves no bytes.  Raises [Invalid_argument] when the range does not
+    fit [dst]. *)
+
+val dma_write_from : t -> addr:int -> src:bytes -> src_off:int -> len:int -> (unit, Bus.fault) result
+(** Device-initiated DMA write of [src]'s [src_off, src_off + len) to bus
+    address [addr]; all or nothing, like {!dma_read_into}. *)
+
 val dma_read : t -> addr:int -> len:int -> (bytes, Bus.fault) result
-(** Device-initiated DMA read.  Silently aborts (returns [Bus_abort]) when
-    bus mastering is disabled in the command register. *)
+(** {!dma_read_into} a fresh buffer. *)
 
 val dma_write : t -> addr:int -> data:bytes -> (unit, Bus.fault) result
+(** {!dma_write_from} all of [data]. *)
 
 val raise_msi : t -> (unit, Bus.fault) result
 (** Emit the device's configured MSI message: a DMA write of the message

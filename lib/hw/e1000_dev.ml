@@ -83,6 +83,8 @@ type t = {
   rxr : ring array;
   tx_busy : bool array;          (* a TX processing pass is scheduled, per queue *)
   partial_tx : bytes list array; (* fragments until EOP, per queue *)
+  tx_desc : bytes;                (* the TX / RX descriptor being processed *)
+  rx_desc : bytes;
   mutable ral : int;
   mutable rah : int;
   mutable link_up : bool;
@@ -151,6 +153,14 @@ let dma_read t addr len =
     t.n_dma_fault <- t.n_dma_fault + 1;
     None
 
+(* Fetch the descriptor at [addr] into [desc]. *)
+let read_desc t addr desc =
+  match Device.dma_read_into t.dev ~addr ~dst:desc ~dst_off:0 ~len:desc_size with
+  | Ok () -> true
+  | Error _ ->
+    t.n_dma_fault <- t.n_dma_fault + 1;
+    false
+
 let dma_write t addr data =
   match Device.dma_write t.dev ~addr ~data with
   | Ok () -> true
@@ -168,39 +178,40 @@ let rec process_tx t q =
   else begin
     let slot = r.head in
     let daddr = r.ba + (slot * desc_size) in
-    (match dma_read t daddr desc_size with
-     | None -> t.tx_busy.(q) <- false
-     | Some desc ->
-       let buf_addr = Int64.to_int (Bytes.get_int64_le desc 0) in
-       let buf_len = Bytes.get_uint16_le desc 8 in
-       let cmd = Char.code (Bytes.get desc 11) in
-       (match if buf_len = 0 then Some Bytes.empty else dma_read t buf_addr buf_len with
-        | None -> t.tx_busy.(q) <- false
-        | Some payload ->
-          t.partial_tx.(q) <- payload :: t.partial_tx.(q);
-          if cmd land txd_cmd_eop <> 0 then begin
-            let frame =
-              match t.partial_tx.(q) with
-              | [ only ] -> only
-              | parts -> Bytes.concat Bytes.empty (List.rev parts)
-            in
-            t.partial_tx.(q) <- [];
-            t.n_tx <- t.n_tx + 1;
-            Net_medium.send t.medium t.port frame
-          end;
-          if cmd land txd_cmd_rs <> 0 then begin
-            Bytes.set desc 12 (Char.chr txd_sta_dd);
-            ignore (dma_write t daddr desc : bool)
-          end;
-          r.head <- (slot + 1) mod ring_slots r;
-          if r.head = r.tail then begin
-            t.tx_busy.(q) <- false;
-            raise_queue_irq t q int_txdw
-          end
-          else
-            ignore
-              (Engine.schedule_after t.eng per_desc_delay (fun () -> process_tx t q)
-               : Engine.handle)))
+    let desc = t.tx_desc in
+    if not (read_desc t daddr desc) then t.tx_busy.(q) <- false
+    else begin
+      let buf_addr = Int64.to_int (Bytes.get_int64_le desc 0) in
+      let buf_len = Bytes.get_uint16_le desc 8 in
+      let cmd = Char.code (Bytes.get desc 11) in
+      (match if buf_len = 0 then Some Bytes.empty else dma_read t buf_addr buf_len with
+       | None -> t.tx_busy.(q) <- false
+       | Some payload ->
+         t.partial_tx.(q) <- payload :: t.partial_tx.(q);
+         if cmd land txd_cmd_eop <> 0 then begin
+           let frame =
+             match t.partial_tx.(q) with
+             | [ only ] -> only
+             | parts -> Bytes.concat Bytes.empty (List.rev parts)
+           in
+           t.partial_tx.(q) <- [];
+           t.n_tx <- t.n_tx + 1;
+           Net_medium.send t.medium t.port frame
+         end;
+         if cmd land txd_cmd_rs <> 0 then begin
+           Bytes.set desc 12 (Char.chr txd_sta_dd);
+           ignore (dma_write t daddr desc : bool)
+         end;
+         r.head <- (slot + 1) mod ring_slots r;
+         if r.head = r.tail then begin
+           t.tx_busy.(q) <- false;
+           raise_queue_irq t q int_txdw
+         end
+         else
+           ignore
+             (Engine.schedule_after t.eng per_desc_delay (fun () -> process_tx t q)
+              : Engine.handle))
+    end
   end
 
 let kick_tx t q =
@@ -226,9 +237,8 @@ let receive t frame =
   else begin
     let slot = r.head in
     let daddr = r.ba + (slot * desc_size) in
-    match dma_read t daddr desc_size with
-    | None -> ()
-    | Some desc ->
+    let desc = t.rx_desc in
+    if read_desc t daddr desc then begin
       let buf_addr = Int64.to_int (Bytes.get_int64_le desc 0) in
       if dma_write t buf_addr frame then begin
         Bytes.set_uint16_le desc 8 (Bytes.length frame);
@@ -240,6 +250,7 @@ let receive t frame =
           raise_queue_irq t q int_rxt0
         end
       end
+    end
   end
 
 let reset t =
@@ -420,6 +431,8 @@ let create eng ~mac ~medium ?(queues = 1) () =
          rxr = Array.init queues (fun _ -> fresh_ring ());
          tx_busy = Array.make queues false;
          partial_tx = Array.make queues [];
+         tx_desc = Bytes.create desc_size;
+         rx_desc = Bytes.create desc_size;
          ral = 0;
          rah = 0;
          link_up = true;

@@ -225,9 +225,17 @@ let walk_and_fill t d ~source ~addr ~dir =
     else record_fault t (Bus.Iommu_fault { source; addr; dir })
   | None -> record_fault t (Bus.Iommu_fault { source; addr; dir })
 
+(* The same walk with no IOTLB fill. *)
+let walk t d ~source ~addr ~dir =
+  match lookup d addr with
+  | Some pte when dir = Bus.Dma_read || pte.writable ->
+    `Phys (pte.phys lor (addr land Bus.page_mask))
+  | Some _ | None -> record_fault t (Bus.Iommu_fault { source; addr; dir })
+
 (* Everything off the IOTLB fast path: MSI-window writes, passthrough,
-   and cache misses. *)
-let translate_slow t ~source ~addr ~dir =
+   and cache misses.  [fill] is false for {!check}, which walks without
+   touching the cache or its counters. *)
+let translate_slow t ~source ~addr ~dir ~fill =
   let in_msi = Bus.in_msi_window addr in
   let dom = Hashtbl.find_opt t.domains source in
   match t.mode, dom with
@@ -246,8 +254,11 @@ let translate_slow t ~source ~addr ~dir =
      | Some _ -> (`Msi, `Walk)
      | None -> (record_fault t (Bus.Iommu_fault { source; addr; dir }), `Walk))
   | (Intel_vtd _ | Amd_vi), Some d ->
-    t.tlb_misses <- t.tlb_misses + 1;
-    (walk_and_fill t d ~source ~addr ~dir, `Walk)
+    if fill then begin
+      t.tlb_misses <- t.tlb_misses + 1;
+      (walk_and_fill t d ~source ~addr ~dir, `Walk)
+    end
+    else (walk t d ~source ~addr ~dir, `Walk)
 
 let translate_info t ~source ~addr ~dir =
   (* IOTLB first, before the domain hashtable is even touched.  Sound
@@ -255,7 +266,7 @@ let translate_info t ~source ~addr ~dir =
      MSI-window writes are diverted before the cache can answer (an AMD
      domain may legitimately map the window as [`Phys] for reads), and
      unmap/detach/flush scrub their entries. *)
-  if Bus.in_msi_window addr && dir = Bus.Dma_write then translate_slow t ~source ~addr ~dir
+  if Bus.in_msi_window addr && dir = Bus.Dma_write then translate_slow t ~source ~addr ~dir ~fill:true
   else begin
     let vpage = addr lsr 12 in
     match t.iotlb.(iotlb_slot source vpage) with
@@ -264,10 +275,12 @@ let translate_info t ~source ~addr ~dir =
       if dir = Bus.Dma_read || e.e_writable then
         (`Phys (e.e_ppage lor (addr land Bus.page_mask)), `Hit)
       else (record_fault t (Bus.Iommu_fault { source; addr; dir }), `Hit)
-    | Some _ | None -> translate_slow t ~source ~addr ~dir
+    | Some _ | None -> translate_slow t ~source ~addr ~dir ~fill:true
   end
 
 let translate t ~source ~addr ~dir = fst (translate_info t ~source ~addr ~dir)
+
+let check t ~source ~addr ~dir = fst (translate_slow t ~source ~addr ~dir ~fill:false)
 
 let mappings d =
   let runs = ref [] in

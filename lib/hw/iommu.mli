@@ -55,6 +55,13 @@ val translate_info :
     [`Hit] came from the IOTLB, [`Walk] paid the two-level table walk,
     [`Bypass] skipped translation entirely (passthrough / implicit MSI). *)
 
+val check : t -> source:Bus.bdf -> addr:int -> dir:Bus.dma_dir -> [ `Phys of int | `Msi | `Fault of Bus.fault ]
+(** {!translate} by a page-table walk alone: records a fault as
+    {!translate} does, but consults and fills no IOTLB entry and moves no
+    hit/miss counter.  DMA uses it for every page of a transfer after the
+    first, which alone is charged and cached (see DESIGN.md, "DMA data
+    path"). *)
+
 (** {1 IOTLB}
 
     A direct-mapped software IOTLB of {!iotlb_slots} entries keyed on

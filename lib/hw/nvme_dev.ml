@@ -53,6 +53,18 @@ open Regs
 
 let sector_size = 512
 
+(* Sector maps keyed by LBA: LBAs are small non-negative ints, so they
+   hash to themselves. *)
+module Lba = Hashtbl.Make (struct
+    type t = int
+    let equal = Int.equal
+    let hash lba = lba land max_int
+  end)
+
+(* What an LBA never written reads as.  Shared and never written: read
+   assembly only blits out of it. *)
+let zero_sector = Bytes.make sector_size '\000'
+
 type qp = {
   mutable sqb : int;             (* SQ base bus address *)
   mutable sqn : int;             (* SQ entries *)
@@ -84,9 +96,18 @@ type t = {
   mutable regs_csts : int;
   qps : qp array;
   (* Durable media vs volatile write cache, both lba -> 512B sector.
-     [reset] clears the cache and leaves media — the crash window. *)
-  media : (int, bytes) Hashtbl.t;
-  wcache : (int, bytes) Hashtbl.t;
+     [reset] clears the cache and leaves media — the crash window.
+     Stored sectors are fresh [Bytes] each, never views of [staging], so
+     neither map aliases in-flight DMA or the other. *)
+  media : bytes Lba.t;
+  wcache : bytes Lba.t;
+  (* DMA scratch, per device: read assembly and write DMA go through
+     [staging] (grown to the largest transfer seen); a submission entry
+     is fetched into [sqe], a completion entry built in [cqe].  Each is
+     consumed before the next DMA that could reuse it. *)
+  mutable staging : bytes;
+  sqe : bytes;
+  cqe : bytes;
   mutable epoch : int;                       (* invalidates scheduled work across reset *)
   (* Storage fault hooks (armed by the soak harness, one-shot). *)
   mutable corrupt_next_completion : int option;  (* xor mask over the cid *)
@@ -107,30 +128,28 @@ let per_cmd_delay = 400 (* ns of device-side processing per command *)
 
 let enabled t = t.regs_cc land cc_en <> 0
 
-let dma_read t ~addr ~len =
-  match Device.dma_read t.dev ~addr ~len with
-  | Ok b -> Some b
-  | Error _ ->
-    t.n_dma_fault <- t.n_dma_fault + 1;
-    None
-
-let dma_write t ~addr ~data =
-  match Device.dma_write t.dev ~addr ~data with
+let dma_ok t = function
   | Ok () -> true
   | Error _ ->
     t.n_dma_fault <- t.n_dma_fault + 1;
     false
 
-let sector_of tbl lba =
-  match Hashtbl.find_opt tbl lba with Some b -> b | None -> Bytes.make sector_size '\000'
+let dma_in t ~addr ~dst ~len = dma_ok t (Device.dma_read_into t.dev ~addr ~dst ~dst_off:0 ~len)
+let dma_out t ~addr ~src ~len = dma_ok t (Device.dma_write_from t.dev ~addr ~src ~src_off:0 ~len)
+
+let staging t len =
+  if Bytes.length t.staging < len then t.staging <- Bytes.create len;
+  t.staging
+
+let find_sector tbl lba = match Lba.find tbl lba with b -> b | exception Not_found -> zero_sector
 
 let persist_sector t lba data =
-  Hashtbl.replace t.media lba data;
-  Hashtbl.remove t.wcache lba
+  Lba.replace t.media lba data;
+  Lba.remove t.wcache lba
 
 let do_flush t =
-  Hashtbl.iter (fun lba data -> Hashtbl.replace t.media lba data) t.wcache;
-  Hashtbl.reset t.wcache
+  Lba.iter (fun lba data -> Lba.replace t.media lba data) t.wcache;
+  Lba.reset t.wcache
 
 (* Post one CQE and signal the queue's vector.  This is where the
    one-shot completion faults bite: a dropped completion vanishes (the
@@ -152,12 +171,13 @@ let post_cqe t qi cid status =
           (cid lxor mask) land 0xFFFF
         | None -> cid
       in
-      let cqe = Bytes.make cqe_size '\000' in
+      let cqe = t.cqe in
+      Bytes.fill cqe 0 cqe_size '\000';
       Bytes.set_uint16_le cqe 8 (q.sq_head land 0xFFFF);
       Bytes.set_uint16_le cqe 12 (cid land 0xFFFF);
       Bytes.set_uint16_le cqe 14 ((status lsl 1) lor q.cq_phase);
       let addr = q.cqb + (q.cq_tail * cqe_size) in
-      if dma_write t ~addr ~data:cqe then begin
+      if dma_out t ~addr ~src:cqe ~len:cqe_size then begin
         q.cq_tail <- q.cq_tail + 1;
         if q.cq_tail >= q.cqn then begin
           q.cq_tail <- 0;
@@ -201,33 +221,36 @@ let execute t qi sqe =
   else if op = op_write then begin
     if count = 0 || slba < 0 || slba + count > t.capacity then post_cqe t qi cid 2
     else
-      match dma_read t ~addr:prp ~len:(count * sector_size) with
-      | None -> post_cqe t qi cid 1
-      | Some data ->
+      let len = count * sector_size in
+      let data = staging t len in
+      if not (dma_in t ~addr:prp ~dst:data ~len) then post_cqe t qi cid 1
+      else begin
         t.n_write <- t.n_write + 1;
         let fua = flags land flags_fua <> 0 in
         if fua then t.n_fua <- t.n_fua + 1;
         for i = 0 to count - 1 do
           let s = Bytes.sub data (i * sector_size) sector_size in
           if fua then persist_sector t (slba + i) s
-          else Hashtbl.replace t.wcache (slba + i) s
+          else Lba.replace t.wcache (slba + i) s
         done;
         post_cqe t qi cid 0
+      end
   end
   else if op = op_read then begin
     if count = 0 || slba < 0 || slba + count > t.capacity then post_cqe t qi cid 2
     else begin
-      let data = Bytes.create (count * sector_size) in
+      let len = count * sector_size in
+      let data = staging t len in
       for i = 0 to count - 1 do
         let s =
-          match Hashtbl.find_opt t.wcache (slba + i) with
-          | Some b -> b
-          | None -> sector_of t.media (slba + i)
+          match Lba.find t.wcache (slba + i) with
+          | b -> b
+          | exception Not_found -> find_sector t.media (slba + i)
         in
         Bytes.blit s 0 data (i * sector_size) sector_size
       done;
       t.n_read <- t.n_read + 1;
-      if dma_write t ~addr:prp ~data then post_cqe t qi cid 0
+      if dma_out t ~addr:prp ~src:data ~len then post_cqe t qi cid 0
       else post_cqe t qi cid 1
     end
   end
@@ -251,9 +274,8 @@ let rec kick t qi =
              then begin
                let idx = q.sq_head in
                q.sq_head <- (q.sq_head + 1) mod q.sqn;
-               (match dma_read t ~addr:(q.sqb + (idx * sqe_size)) ~len:sqe_size with
-                | Some sqe -> execute t qi sqe
-                | None -> ());
+               if dma_in t ~addr:(q.sqb + (idx * sqe_size)) ~dst:t.sqe ~len:sqe_size then
+                 execute t qi t.sqe;
                kick t qi
              end
            end)
@@ -266,7 +288,7 @@ let reset t =
   t.regs_csts <- 0;
   Array.iter qp_reset t.qps;
   (* Volatile cache contents die with the controller. *)
-  Hashtbl.reset t.wcache;
+  Lba.reset t.wcache;
   t.corrupt_next_completion <- None;
   t.drop_next_completion <- false;
   t.drop_next_flush <- false
@@ -385,8 +407,11 @@ let create eng ?(queues = 4) ?(capacity = 16384) () =
       regs_cc = 0;
       regs_csts = 0;
       qps = Array.init max_queues (fun _ -> fresh_qp ());
-      media = Hashtbl.create 1024;
-      wcache = Hashtbl.create 256;
+      media = Lba.create 1024;
+      wcache = Lba.create 256;
+      staging = Bytes.empty;
+      sqe = Bytes.create sqe_size;
+      cqe = Bytes.create cqe_size;
       epoch = 0;
       corrupt_next_completion = None;
       drop_next_completion = false;
@@ -416,9 +441,9 @@ let capacity t = t.capacity
 
 (* Oracle-side accessors for the crash-consistency invariant: what is
    durably on media (survives reset) vs parked in the volatile cache. *)
-let media_sector t ~lba = Hashtbl.find_opt t.media lba
-let cached_sector t ~lba = Hashtbl.find_opt t.wcache lba
-let dirty_cache_sectors t = Hashtbl.length t.wcache
+let media_sector t ~lba = Lba.find_opt t.media lba
+let cached_sector t ~lba = Lba.find_opt t.wcache lba
+let dirty_cache_sectors t = Lba.length t.wcache
 
 let inject_corrupt_completion t ~mask =
   t.corrupt_next_completion <- Some (mask land 0xFFFF)

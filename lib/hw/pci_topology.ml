@@ -177,80 +177,119 @@ let translate_charged t ~source ~addr ~dir =
   (match t.dma_charge with Some f -> f how | None -> ());
   result
 
-let dma_translate t ~source ~addr ~dir k_phys k_msi =
-  match translate_charged t ~source ~addr ~dir with
-  | `Phys p -> k_phys p
-  | `Msi -> k_msi ()
-  | `Fault f -> Error f
-
-let dma_routed t requester ~source ~addr ~dir k_peer k_phys k_msi =
-  match p2p_victim t requester addr with
-  | Some (victim, bar, off) ->
-    Sud_obs.Metrics.incr t.pm.pm_p2p;
-    k_peer victim bar off
-  | None -> dma_translate t ~source ~addr ~dir k_phys k_msi
-
-(* [att] is the device issuing the DMA and [source] the requester ID it
-   claims: only a spoofed one needs looking up. *)
-let dma_common t att ~source ~addr ~dir k_peer k_phys k_msi =
-  if source = att.abdf then dma_routed t att ~source ~addr ~dir k_peer k_phys k_msi
+(* The peer BAR [addr] lands in, if any.  [att] is the device issuing the
+   DMA and [source] the requester ID it claims: only a spoofed one needs
+   looking up, and a spoofed ID that names no attached device translates
+   under its IOMMU domain with no peer in reach. *)
+let peer_of t att ~source addr =
+  if source = att.abdf then p2p_victim t att addr
   else
     match find_attached t source with
-    | None ->
-      (* A spoofed requester ID that got past validation: translate under
-         the claimed source's IOMMU domain. *)
-      dma_translate t ~source ~addr ~dir k_phys k_msi
-    | Some requester -> dma_routed t requester ~source ~addr ~dir k_peer k_phys k_msi
+    | None -> None
+    | Some requester -> p2p_victim t requester addr
+
+(* Where one page of a transfer goes: a peer's BAR, the MSI window or
+   RAM.  Only the first page is charged and cached in the IOTLB; later
+   pages are checked by a bare page-table walk (DESIGN.md, "DMA data
+   path"). *)
+type route = [ `Phys of int | `Msi | `Fault of Bus.fault | `Peer of attached * int * int ]
+
+let route t att ~source ~addr ~dir ~first : route =
+  match peer_of t att ~source addr with
+  | Some (victim, bar, off) ->
+    Sud_obs.Metrics.incr t.pm.pm_p2p;
+    `Peer (victim, bar, off)
+  | None ->
+    ((if first then translate_charged t ~source ~addr ~dir
+      else Iommu.check t.iommu ~source ~addr ~dir)
+     :> route)
+
+let abort t addr =
+  let f = Bus.Bus_abort { addr } in
+  record_fault t f;
+  Error f
+
+(* Whether [len] bytes at [addr] can move along [r]; records the fault
+   when they cannot.  A read of the MSI window or of RAM beyond the end
+   of physical memory is a master abort. *)
+let usable t ~dir ~addr ~len r =
+  match r with
+  | `Fault f -> Error f
+  | `Msi when dir = Bus.Dma_read -> abort t addr
+  | `Phys p when p + len > Phys_mem.size t.mem -> abort t addr
+  | `Msi | `Phys _ | `Peer _ -> Ok ()
+
+(* Route every page of a transfer that crosses a page boundary, as
+   [(offset, length, route)] pieces, before any byte moves: a fault on
+   any page fails the whole transfer. *)
+let resolve t att ~source ~addr ~len ~dir =
+  let rec go off acc =
+    if off >= len then Ok (List.rev acc)
+    else begin
+      let a = addr + off in
+      let chunk = min (len - off) (Bus.page_size - (a land Bus.page_mask)) in
+      let r = route t att ~source ~addr:a ~dir ~first:(off = 0) in
+      match usable t ~dir ~addr:a ~len:chunk r with
+      | Error f -> Error f
+      | Ok () -> go (off + chunk) ((off, chunk, r) :: acc)
+    end
+  in
+  go 0 []
+
+let fits_in_page addr len = (addr land Bus.page_mask) + len <= Bus.page_size
+
+(* Move one usable piece between [buf] at [off] and where [r] routes it.
+   A peer-to-peer read pulls bytes out of the victim's registers, a write
+   pushes them in; a write to the MSI window is an interrupt message. *)
+let read_piece t ~source:_ buf off len = function
+  | `Phys p -> Phys_mem.blit_out t.mem ~addr:p ~dst:buf ~dst_off:off ~len
+  | `Peer (victim, bar, reg) ->
+    let ops = Device.ops victim.dev in
+    for i = 0 to len - 1 do
+      Bytes.set buf (off + i) (Char.chr (ops.Device.mmio_read ~bar ~off:(reg + i) ~size:1 land 0xff))
+    done
+  | `Msi | `Fault _ -> assert false
+
+let write_piece t ~source buf off len = function
+  | `Phys p -> Phys_mem.blit_in t.mem ~addr:p ~src:buf ~src_off:off ~len
+  | `Peer (victim, bar, reg) ->
+    let ops = Device.ops victim.dev in
+    for i = 0 to len - 1 do
+      ops.Device.mmio_write ~bar ~off:(reg + i) ~size:1 (Char.code (Bytes.get buf (off + i)))
+    done
+  | `Msi ->
+    if len >= 4 then
+      deliver_msi t ~source ~data:(Int32.to_int (Bytes.get_int32_le buf off) land 0xFFFFFFFF)
+  | `Fault _ -> assert false
+
+(* One DMA of [len] bytes at bus address [addr] from or into [buf] at
+   [off]; [move] is [read_piece] or [write_piece]. *)
+let transfer t att ~source ~addr ~dir ~buf ~off ~len move =
+  match source_ok t att ~claimed:source with
+  | Error f -> Error f
+  | Ok () ->
+    if fits_in_page addr len then begin
+      let r = route t att ~source ~addr ~dir ~first:true in
+      match usable t ~dir ~addr ~len r with
+      | Error f -> Error f
+      | Ok () ->
+        move t ~source buf off len r;
+        Ok ()
+    end
+    else
+      match resolve t att ~source ~addr ~len ~dir with
+      | Error f -> Error f
+      | Ok pieces ->
+        List.iter (fun (at, len, r) -> move t ~source buf (off + at) len r) pieces;
+        Ok ()
 
 let host_iface_for t att =
-  let dma_read ~source ~addr ~len =
-    match source_ok t att ~claimed:source with
-    | Error f -> Error f
-    | Ok () ->
-      dma_common t att ~source ~addr ~dir:Bus.Dma_read
-        (fun victim bar off ->
-           (* Peer-to-peer read: pull bytes out of the victim's registers. *)
-           let b = Bytes.create len in
-           for i = 0 to len - 1 do
-             Bytes.set b i
-               (Char.chr ((Device.ops victim.dev).mmio_read ~bar ~off:(off + i) ~size:1 land 0xff))
-           done;
-           Ok b)
-        (fun p ->
-           match Phys_mem.read t.mem ~addr:p ~len with
-           | b -> Ok b
-           | exception Phys_mem.Bus_error _ ->
-             record_fault t (Bus.Bus_abort { addr });
-             Error (Bus.Bus_abort { addr }))
-        (fun () ->
-           record_fault t (Bus.Bus_abort { addr });
-           Error (Bus.Bus_abort { addr }))
-  in
-  let dma_write ~source ~addr ~data =
-    match source_ok t att ~claimed:source with
-    | Error f -> Error f
-    | Ok () ->
-      dma_common t att ~source ~addr ~dir:Bus.Dma_write
-        (fun victim bar off ->
-           Bytes.iteri
-             (fun i c ->
-                (Device.ops victim.dev).mmio_write ~bar ~off:(off + i) ~size:1 (Char.code c))
-             data;
-           Ok ())
-        (fun p ->
-           match Phys_mem.write t.mem ~addr:p data with
-           | () -> Ok ()
-           | exception Phys_mem.Bus_error _ ->
-             record_fault t (Bus.Bus_abort { addr });
-             Error (Bus.Bus_abort { addr }))
-        (fun () ->
-           if Bytes.length data >= 4 then begin
-             deliver_msi t ~source ~data:(Int32.to_int (Bytes.get_int32_le data 0) land 0xFFFFFFFF);
-             Ok ()
-           end
-           else Ok ())
-  in
-  { Device.dma_read; dma_write }
+  { Device.dma_read_into =
+      (fun ~source ~addr ~dst ~dst_off ~len ->
+         transfer t att ~source ~addr ~dir:Bus.Dma_read ~buf:dst ~off:dst_off ~len read_piece);
+    dma_write_from =
+      (fun ~source ~addr ~src ~src_off ~len ->
+         transfer t att ~source ~addr ~dir:Bus.Dma_write ~buf:src ~off:src_off ~len write_piece) }
 
 let attach t ~switch:sw dev =
   if Device.is_attached dev then invalid_arg "Pci_topology.attach: already attached";

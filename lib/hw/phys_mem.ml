@@ -1,15 +1,26 @@
 exception Bus_error of int
 
+(* Pages live in a sparse two-level table: [chunk_pages]-page chunks,
+   each allocated on first touch, as is each page in it.  A flat per-page
+   array would cost a word per page of the whole address space up front;
+   a polymorphic Hashtbl costs a hash and a compare per access. *)
+let chunk_bits = 8
+let chunk_pages = 1 lsl chunk_bits
+let chunk_mask = chunk_pages - 1
+
+(* Markers for "not materialized": compared physically, never written. *)
+let no_page = Bytes.empty
+let no_chunk : bytes array = [||]
+
 type t = {
   size : int;
-  pages : (int, bytes) Hashtbl.t;
+  chunks : bytes array array;
   mutable bump : int;           (* next never-allocated page index *)
   free_runs : (int, int list) Hashtbl.t;  (* run length -> start pages *)
   mutable outstanding : int;
-  (* One-entry page cache: DMA is overwhelmingly sequential (descriptor
-     rings, packet buffers), so the last page touched answers the next
-     access without a Hashtbl lookup.  Pages are never removed from the
-     table once materialized, so the cached bytes can never go stale. *)
+  (* One-entry cache of the last page touched: DMA is overwhelmingly
+     sequential (descriptor rings, packet buffers).  Pages are never
+     dropped once materialized, so it can never go stale. *)
   mutable last_idx : int;
   mutable last_page : bytes;
 }
@@ -17,11 +28,12 @@ type t = {
 let create ~size =
   let size = Bus.page_align_up size in
   if size <= 0 then invalid_arg "Phys_mem.create: size must be positive";
+  let pages = size / Bus.page_size in
   (* The first 64 KiB stay unallocated, like the reserved low memory of a
      real machine — so no DMA structure ever lands at address 0, which
      device schedules use as a null link. *)
-  { size; pages = Hashtbl.create 1024; bump = 16; free_runs = Hashtbl.create 8; outstanding = 0;
-    last_idx = -1; last_page = Bytes.empty }
+  { size; chunks = Array.make ((pages + chunk_mask) lsr chunk_bits) no_chunk; bump = 16;
+    free_runs = Hashtbl.create 8; outstanding = 0; last_idx = -1; last_page = no_page }
 
 let size t = t.size
 
@@ -29,21 +41,32 @@ let check t addr len =
   if addr < 0 || len < 0 || addr + len > t.size then
     raise (Bus_error addr)
 
+(* Page [idx], materialized (zero-filled) on first touch. *)
 let page t idx =
   if idx = t.last_idx then t.last_page
   else begin
-    let p =
-      match Hashtbl.find_opt t.pages idx with
-      | Some p -> p
-      | None ->
-        let p = Bytes.make Bus.page_size '\000' in
-        Hashtbl.add t.pages idx p;
-        p
-    in
+    let ci = idx lsr chunk_bits and pi = idx land chunk_mask in
+    if t.chunks.(ci) == no_chunk then t.chunks.(ci) <- Array.make chunk_pages no_page;
+    let c = t.chunks.(ci) in
+    if c.(pi) == no_page then c.(pi) <- Bytes.make Bus.page_size '\000';
+    let p = c.(pi) in
     t.last_idx <- idx;
     t.last_page <- p;
     p
   end
+
+(* Walk [len] bytes from [addr] page by page: [f idx in_page off chunk]
+   handles [chunk] bytes of page [idx] from [in_page], [off] bytes into
+   the range. *)
+let iter_pages addr len f =
+  let pos = ref addr and off = ref 0 in
+  while !off < len do
+    let in_page = !pos land Bus.page_mask in
+    let chunk = min (len - !off) (Bus.page_size - in_page) in
+    f (!pos / Bus.page_size) in_page !off chunk;
+    pos := !pos + chunk;
+    off := !off + chunk
+  done
 
 let blit_out t ~addr ~dst ~dst_off ~len =
   check t addr len;
@@ -51,34 +74,18 @@ let blit_out t ~addr ~dst ~dst_off ~len =
   if in_page + len <= Bus.page_size then
     (* Single-page fast path: one blit, no loop state. *)
     Bytes.blit (page t (addr / Bus.page_size)) in_page dst dst_off len
-  else begin
-    let pos = ref addr and off = ref dst_off and left = ref len in
-    while !left > 0 do
-      let idx = !pos / Bus.page_size and in_page = !pos land Bus.page_mask in
-      let chunk = min !left (Bus.page_size - in_page) in
-      Bytes.blit (page t idx) in_page dst !off chunk;
-      pos := !pos + chunk;
-      off := !off + chunk;
-      left := !left - chunk
-    done
-  end
+  else
+    iter_pages addr len (fun idx in_page off chunk ->
+        Bytes.blit (page t idx) in_page dst (dst_off + off) chunk)
 
 let blit_in t ~addr ~src ~src_off ~len =
   check t addr len;
   let in_page = addr land Bus.page_mask in
   if in_page + len <= Bus.page_size then
     Bytes.blit src src_off (page t (addr / Bus.page_size)) in_page len
-  else begin
-    let pos = ref addr and off = ref src_off and left = ref len in
-    while !left > 0 do
-      let idx = !pos / Bus.page_size and in_page = !pos land Bus.page_mask in
-      let chunk = min !left (Bus.page_size - in_page) in
-      Bytes.blit src !off (page t idx) in_page chunk;
-      pos := !pos + chunk;
-      off := !off + chunk;
-      left := !left - chunk
-    done
-  end
+  else
+    iter_pages addr len (fun idx in_page off chunk ->
+        Bytes.blit src (src_off + off) (page t idx) in_page chunk)
 
 let read t ~addr ~len =
   let b = Bytes.create len in
@@ -161,14 +168,7 @@ let write64 t addr v =
 
 let fill t ~addr ~len c =
   check t addr len;
-  let pos = ref addr and left = ref len in
-  while !left > 0 do
-    let idx = !pos / Bus.page_size and in_page = !pos land Bus.page_mask in
-    let chunk = min !left (Bus.page_size - in_page) in
-    Bytes.fill (page t idx) in_page chunk c;
-    pos := !pos + chunk;
-    left := !left - chunk
-  done
+  iter_pages addr len (fun idx in_page _ chunk -> Bytes.fill (page t idx) in_page chunk c)
 
 let alloc_pages t ~pages =
   if pages <= 0 then invalid_arg "Phys_mem.alloc_pages";

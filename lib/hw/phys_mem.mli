@@ -1,6 +1,8 @@
 (** Sparse, byte-accurate physical memory with a page allocator.
 
-    Pages materialize (zero-filled) on first touch.  Accesses beyond the
+    Pages materialize (zero-filled) on first touch, in a two-level table
+    of 256-page chunks that are themselves allocated on first touch, so
+    untouched memory reads as zero.  Accesses beyond the
     configured size raise {!Bus_error} — the simulated equivalent of a
     machine check, which the tests use to prove that confined DMA can never
     reach unmapped territory.

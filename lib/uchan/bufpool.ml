@@ -1,8 +1,8 @@
 type buf = { id : int; addr : int; size : int }
 
 type t = {
-  rd : off:int -> len:int -> bytes;
-  wr : off:int -> data:bytes -> unit;
+  blit_out_at : off:int -> dst:bytes -> dst_off:int -> len:int -> unit;
+  blit_in_at : off:int -> src:bytes -> src_off:int -> len:int -> unit;
   base_addr : int;
   n : int;
   bsize : int;
@@ -12,11 +12,11 @@ type t = {
 
 let region_size ~count ~buf_size = count * buf_size
 
-let create ~read ~write ~base_addr ~count ~buf_size =
+let create ~blit_out ~blit_in ~base_addr ~count ~buf_size =
   if count <= 0 || buf_size <= 0 then invalid_arg "Bufpool.create";
   let free_ids = Queue.create () in
   for i = 0 to count - 1 do Queue.push i free_ids done;
-  { rd = read; wr = write; base_addr; n = count; bsize = buf_size; free_ids; allocated = Array.make count false }
+  { blit_out_at = blit_out; blit_in_at = blit_in; base_addr; n = count; bsize = buf_size; free_ids; allocated = Array.make count false }
 
 let count t = t.n
 let buf_size t = t.bsize
@@ -43,10 +43,16 @@ let in_use t = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t.all
 let check b ~off ~len =
   if off < 0 || len < 0 || off + len > b.size then invalid_arg "Bufpool: out of bounds"
 
-let read t b ~off ~len =
+let blit_out t b ~off ~dst ~dst_off ~len =
   check b ~off ~len;
-  t.rd ~off:((b.id * t.bsize) + off) ~len
+  t.blit_out_at ~off:((b.id * t.bsize) + off) ~dst ~dst_off ~len
+
+let read t b ~off ~len =
+  let dst = Bytes.create len in
+  blit_out t b ~off ~dst ~dst_off:0 ~len;
+  dst
 
 let write t b ~off data =
-  check b ~off ~len:(Bytes.length data);
-  t.wr ~off:((b.id * t.bsize) + off) ~data
+  let len = Bytes.length data in
+  check b ~off ~len;
+  t.blit_in_at ~off:((b.id * t.bsize) + off) ~src:data ~src_off:0 ~len

@@ -6,17 +6,18 @@
     uchan payload area the kernel proxy reads, the virtual address the
     driver writes, and the IO virtual address the device DMAs to.
 
-    The pool is constructed over the region's accessors; [base_addr] is
-    the region's bus address, so [buf.addr] values can be handed straight
-    to the device (and are what travels in uchan messages). *)
+    The pool is constructed over the region's blit accessors (offsets
+    relative to the region); [base_addr] is the region's bus address, so
+    [buf.addr] values can be handed straight to the device (and are what
+    travels in uchan messages). *)
 
 type t
 
 type buf = { id : int; addr : int; size : int }
 
 val create :
-  read:(off:int -> len:int -> bytes) ->
-  write:(off:int -> data:bytes -> unit) ->
+  blit_out:(off:int -> dst:bytes -> dst_off:int -> len:int -> unit) ->
+  blit_in:(off:int -> src:bytes -> src_off:int -> len:int -> unit) ->
   base_addr:int ->
   count:int ->
   buf_size:int ->
@@ -40,4 +41,6 @@ val in_use : t -> int
 
 val read : t -> buf -> off:int -> len:int -> bytes
 val write : t -> buf -> off:int -> bytes -> unit
-(** Bounds-checked accessors; raise [Invalid_argument] outside the buffer. *)
+val blit_out : t -> buf -> off:int -> dst:bytes -> dst_off:int -> len:int -> unit
+(** Bounds-checked accessors; raise [Invalid_argument] outside the buffer.
+    [blit_out] is [read] into [dst] at [dst_off], allocating nothing. *)

@@ -98,9 +98,18 @@ let test_dma_region_lifecycle () =
       let r = ok_or_fail "alloc" (Safe_pci.alloc_dma g ~bytes:8192 ()) in
       Alcotest.(check int) "figure 9 base" 0x42430000 r.Driver_api.dma_addr;
       Alcotest.(check int) "charged to the process" 8192 (Process.memory_used proc);
-      r.Driver_api.dma_write ~off:100 (Bytes.of_string "dma!");
+      Driver_api.dma_write r ~off:100 (Bytes.of_string "dma!");
       Alcotest.(check string) "rw" "dma!"
-        (Bytes.to_string (r.Driver_api.dma_read ~off:100 ~len:4));
+        (Bytes.to_string (Driver_api.dma_read r ~off:100 ~len:4));
+      (* Little-endian scalars, including one across the page boundary. *)
+      Driver_api.dma_set64 r ~off:4092 0x8877665544332211L;
+      Alcotest.(check int) "get8" 0x11 (Driver_api.dma_get8 r ~off:4092);
+      Alcotest.(check int) "get16" 0x3322 (Driver_api.dma_get16 r ~off:4093);
+      Alcotest.(check int) "get32" 0x88776655 (Driver_api.dma_get32 r ~off:4096);
+      Alcotest.(check int64) "get64" 0x8877665544332211L (Driver_api.dma_get64 r ~off:4092);
+      Alcotest.check_raises "64-bit store past the end" (Invalid_argument "dma_write out of range")
+        (fun () -> Driver_api.dma_set64 r ~off:8188 (-1L));
+      Alcotest.(check int) "nothing stored" 0 (Driver_api.dma_get32 r ~off:8188);
       (* The proxy-side validated reader agrees. *)
       (match Safe_pci.read_driver_mem g ~iova:(r.Driver_api.dma_addr + 100) ~len:4 with
        | Ok b -> Alcotest.(check string) "read_driver_mem" "dma!" (Bytes.to_string b)
@@ -223,7 +232,7 @@ let test_release_revokes_everything () =
 let test_iova_space_distinct_from_phys () =
   with_grant (fun w _proc g ->
       let r = ok_or_fail "alloc" (Safe_pci.alloc_dma g ~bytes:4096 ()) in
-      r.Driver_api.dma_write ~off:0 (Bytes.of_string "thruput");
+      Driver_api.dma_write r ~off:0 (Bytes.of_string "thruput");
       (* The IOVA is not the physical address: reading physical memory at
          the IOVA value finds nothing (it is beyond RAM or unrelated). *)
       let maps = Safe_pci.iommu_mappings g in
@@ -244,7 +253,7 @@ let test_kenv_native_direct () =
          land E1000_dev.Regs.status_lu <> 0);
       let r = ok_or_fail "dma" (pdev.Driver_api.pd_alloc_dma ~bytes:4096 ()) in
       (* Trusted drivers get physical addresses. *)
-      r.Driver_api.dma_write ~off:0 (Bytes.of_string "phys");
+      Driver_api.dma_write r ~off:0 (Bytes.of_string "phys");
       Alcotest.(check string) "backed by phys mem" "phys"
         (Bytes.to_string (Phys_mem.read k.Kernel.mem ~addr:r.Driver_api.dma_addr ~len:4));
       pdev.Driver_api.pd_free_dma r)

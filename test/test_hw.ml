@@ -52,6 +52,43 @@ let test_phys_exhaustion () =
   Alcotest.check_raises "oom" (Failure "Phys_mem: out of physical memory") (fun () ->
       for _ = 1 to 1000 do ignore (Phys_mem.alloc_pages m ~pages:8 : int) done)
 
+(* A read of memory nobody wrote sees zeros, whether or not the page or
+   its 256-page chunk exists yet. *)
+let test_phys_untouched_zero () =
+  let m = Phys_mem.create ~size:(4 * 1024 * 1024) in
+  Alcotest.(check bytes) "never-touched range" (Bytes.make 9000 '\000')
+    (Phys_mem.read m ~addr:0x123456 ~len:9000);
+  Phys_mem.write8 m 0x200000 0x5A;
+  Alcotest.(check int) "neighbour in a touched chunk" 0 (Phys_mem.read32 m 0x201000);
+  Alcotest.(check int) "same page, other word" 0 (Phys_mem.read32 m 0x200004);
+  Alcotest.(check int64) "64-bit" 0L (Phys_mem.read64 m 0x3FFFF8)
+
+(* A blit that crosses from one 256-page chunk into the next. *)
+let test_phys_chunk_edge () =
+  let m = Phys_mem.create ~size:(4 * 1024 * 1024) in
+  let edge = 256 * Bus.page_size in
+  let data = Bytes.init 10000 (fun i -> Char.chr ((i * 7) land 0xff)) in
+  Phys_mem.blit_in m ~addr:(edge - 5000) ~src:data ~src_off:0 ~len:10000;
+  let back = Bytes.make 10004 '\xFF' in
+  Phys_mem.blit_out m ~addr:(edge - 5000) ~dst:back ~dst_off:2 ~len:10000;
+  Alcotest.(check bytes) "round trip" data (Bytes.sub back 2 10000);
+  Alcotest.(check int) "byte before untouched" 0 (Phys_mem.read8 m (edge - 5001));
+  Alcotest.(check int) "byte after untouched" 0 (Phys_mem.read8 m (edge + 5000));
+  let b i = Char.code (Bytes.get data (i + 5000)) in
+  Alcotest.(check int) "scalar across the edge"
+    (b (-2) lor (b (-1) lsl 8) lor (b 0 lsl 16) lor (b 1 lsl 24))
+    (Phys_mem.read32 m (edge - 2))
+
+let test_phys_free_zeroes () =
+  let m = Phys_mem.create ~size:(1 lsl 20) in
+  let a = Phys_mem.alloc_pages m ~pages:3 in
+  let data = Bytes.init 9000 (fun i -> Char.chr (1 + (i mod 250))) in
+  Phys_mem.write m ~addr:(a + 100) data;
+  Alcotest.(check bytes) "reads what it wrote" data (Phys_mem.read m ~addr:(a + 100) ~len:9000);
+  Phys_mem.free_pages m ~addr:a ~pages:3;
+  Alcotest.(check bytes) "freed run reads zero" (Bytes.make (3 * 4096) '\000')
+    (Phys_mem.read m ~addr:a ~len:(3 * 4096))
+
 (* ---- pci_cfg ---- *)
 
 let mk_cfg () =
@@ -353,6 +390,153 @@ let test_topology_bdf_assignment () =
   let bdf_c = Pci_topology.attach topo ~switch:sw (E1000_dev.device nic) in
   Alcotest.(check bool) "switch gets its own bus" true (Bus.bdf_bus bdf_c <> Bus.bdf_bus bdf_a)
 
+(* ---- DMA data path ---- *)
+
+(* A bus-mastering NIC whose IOMMU domain maps one page, with a secret in
+   the physically next page: a transfer that runs off the end of the
+   mapped page must fault on the next IO-virtual page, not spill into
+   physical memory. *)
+let test_dma_page_straddle () =
+  let eng, mem, iommu, topo = mk_world () in
+  let medium = Net_medium.create eng () in
+  let nic, bdf = mk_nic eng topo medium '\x02' in
+  Pci_topology.cfg_write topo bdf ~off:Pci_cfg.command ~size:2 Pci_cfg.cmd_bus_master;
+  let dev = E1000_dev.device nic in
+  let buf = Phys_mem.alloc_pages mem ~pages:1 in
+  let secret = Phys_mem.alloc_pages mem ~pages:1 in
+  Alcotest.(check int) "secret page is physically next" (buf + 4096) secret;
+  Phys_mem.write mem ~addr:secret (Bytes.of_string "KERNEL-SECRET");
+  let iova = 0x10000 in
+  Iommu.map iommu (Iommu.attach iommu ~source:bdf) ~iova ~phys:buf ~len:4096 ~writable:true;
+  (match Device.dma_read dev ~addr:(iova + 4096 - 96) ~len:200 with
+   | Error (Bus.Iommu_fault { addr; _ }) ->
+     Alcotest.(check int) "faults on the unmapped page" (iova + 4096) addr
+   | Error f -> Alcotest.fail (Bus.string_of_fault f)
+   | Ok b -> Alcotest.failf "read past the mapped page returned %S" (Bytes.sub_string b 96 13));
+  Alcotest.(check int) "read fault recorded" 1 (List.length (Iommu.faults iommu));
+  (match Device.dma_write dev ~addr:(iova + 4096 - 6) ~data:(Bytes.make 64 '\xEE') with
+   | Error (Bus.Iommu_fault _) -> ()
+   | Error f -> Alcotest.fail (Bus.string_of_fault f)
+   | Ok () -> Alcotest.fail "write past the mapped page succeeded");
+  Alcotest.(check int) "write fault recorded" 2 (List.length (Iommu.faults iommu));
+  Alcotest.(check string) "secret intact" "KERNEL-SECRET"
+    (Bytes.to_string (Phys_mem.read mem ~addr:secret ~len:13));
+  Alcotest.(check bytes) "mapped page unwritten" (Bytes.make 4096 '\000')
+    (Phys_mem.read mem ~addr:buf ~len:4096)
+
+(* Blit DMA against a per-byte reference: each byte's IO-virtual page is
+   translated on its own, and any fault fails the whole transfer with no
+   byte moved.  Random read-write, read-only and unmapped pages over a
+   6-page window (physical pages drawn independently, so neighbours in
+   IOVA space are rarely neighbours in RAM); transfers up to 3 pages,
+   possibly starting or running past the window.  The IOTLB counters and
+   the DMA charge move once per transfer, for the first page only. *)
+let dma_blit_reference_test =
+  let window = 6 and phys_lo = 16 and phys_pages = 16 in
+  let gen =
+    QCheck.Gen.(
+      let* perms = array_repeat window (int_bound 2) in
+      let* frames = array_repeat window (int_bound (phys_pages - 1)) in
+      let* off = int_bound ((window + 1) * 4096) in
+      let* len = int_range 1 (3 * 4096) in
+      let* write = bool in
+      let* seed = int_bound 1_000_000 in
+      return (perms, frames, off, len, write, seed))
+  in
+  let print (perms, frames, off, len, write, seed) =
+    let arr a = String.concat ";" (Array.to_list (Array.map string_of_int a)) in
+    Printf.sprintf "perms [%s] frames [%s] off %d len %d %s seed %d" (arr perms) (arr frames)
+      off len (if write then "write" else "read") seed
+  in
+  QCheck.Test.make ~name:"blit DMA equals its per-byte reference" ~count:300
+    (QCheck.make ~print gen)
+    (fun (perms, frames, off, len, write, seed) ->
+       let mem = Phys_mem.create ~size:((phys_lo + phys_pages) * 4096) in
+       let iommu = Iommu.create ~mode:mode_vtd () in
+       let topo = Pci_topology.create ~mem ~iommu ~ioports:(Ioport.create ()) () in
+       let charges = ref 0 in
+       Pci_topology.set_dma_charge topo (fun _ -> incr charges);
+       let cfg =
+         Pci_cfg.create ~vendor:0x8086 ~device:0x10D3
+           ~bars:[| Some (Pci_cfg.Mem { size = 0x20000 }) |] ()
+       in
+       let dev = Device.create ~name:"dma" ~cfg ~ops:Device.no_io in
+       let bdf = Pci_topology.attach topo ~switch:(Pci_topology.root_switch topo) dev in
+       Pci_topology.cfg_write topo bdf ~off:Pci_cfg.command ~size:2 Pci_cfg.cmd_bus_master;
+       let dom = Iommu.attach iommu ~source:bdf in
+       let base = 0x40000 in
+       Array.iteri
+         (fun p perm ->
+            if perm > 0 then
+              Iommu.map iommu dom ~iova:(base + (p * 4096))
+                ~phys:((phys_lo + frames.(p)) * 4096) ~len:4096 ~writable:(perm = 2))
+         perms;
+       let rng = Random.State.make [| seed |] in
+       let lo = phys_lo * 4096 and span = phys_pages * 4096 in
+       Phys_mem.write mem ~addr:lo (Bytes.init span (fun _ -> Char.chr (Random.State.int rng 256)));
+       let data = Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
+       (* The reference: where each byte lands, or None on a fault. *)
+       let phys_of i =
+         let p = (off + i) / 4096 in
+         if p < window && perms.(p) > 0 && ((not write) || perms.(p) = 2) then
+           Some (((phys_lo + frames.(p)) * 4096) + ((off + i) land 4095))
+         else None
+       in
+       let targets = List.init len phys_of in
+       let ok = List.for_all Option.is_some targets in
+       let before = Phys_mem.read mem ~addr:lo ~len:span in
+       let expect = Bytes.copy before in
+       if write && ok then
+         List.iteri (fun i t -> Bytes.set expect (Option.get t - lo) (Bytes.get data i)) targets;
+       let stats0 = iotlb_stats iommu in
+       let agrees =
+         if write then Result.is_ok (Device.dma_write dev ~addr:(base + off) ~data) = ok
+         else
+           match Device.dma_read dev ~addr:(base + off) ~len with
+           | Ok b ->
+             ok
+             && List.for_all Fun.id
+               (List.mapi (fun i t -> Bytes.get b i = Bytes.get before (Option.get t - lo)) targets)
+           | Error _ -> not ok
+       in
+       let stats1 = iotlb_stats iommu in
+       agrees
+       && Bytes.equal (Phys_mem.read mem ~addr:lo ~len:span) expect
+       && stats1.Iommu.hits + stats1.Iommu.misses - stats0.Iommu.hits - stats0.Iommu.misses = 1
+       && !charges = 1
+       && List.length (Iommu.faults iommu) = if ok then 0 else 1)
+
+(* A one-page transfer allocates no buffer, list or closure: only the
+   IOMMU's translation result (6 words).  Bound at 8 words per call. *)
+let test_dma_one_page_alloc () =
+  let mem = Phys_mem.create ~size:(1 lsl 20) in
+  let iommu = Iommu.create ~mode:mode_vtd () in
+  let topo = Pci_topology.create ~mem ~iommu ~ioports:(Ioport.create ()) () in
+  Pci_topology.set_dma_charge topo ignore;
+  let cfg =
+    Pci_cfg.create ~vendor:0x8086 ~device:0x10D3
+      ~bars:[| Some (Pci_cfg.Mem { size = 0x20000 }) |] ()
+  in
+  let dev = Device.create ~name:"dma" ~cfg ~ops:Device.no_io in
+  let bdf = Pci_topology.attach topo ~switch:(Pci_topology.root_switch topo) dev in
+  Pci_topology.cfg_write topo bdf ~off:Pci_cfg.command ~size:2 Pci_cfg.cmd_bus_master;
+  Iommu.map iommu (Iommu.attach iommu ~source:bdf) ~iova:0x40000 ~phys:0x20000 ~len:4096
+    ~writable:true;
+  let buf = Bytes.create 4096 in
+  let words_per_call dma =
+    ignore (dma () : (unit, Bus.fault) result);
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do ignore (dma () : (unit, Bus.fault) result) done;
+    (Gc.minor_words () -. w0) /. 1000.
+  in
+  let read () = Device.dma_read_into dev ~addr:0x40000 ~dst:buf ~dst_off:0 ~len:4096 in
+  let write () = Device.dma_write_from dev ~addr:0x40000 ~src:buf ~src_off:0 ~len:4096 in
+  List.iter
+    (fun (name, dma) ->
+       let w = words_per_call dma in
+       Alcotest.(check bool) (Printf.sprintf "%s: %.1f words per call" name w) true (w <= 8.))
+    [ ("read", read); ("write", write) ]
+
 let test_bus_bdf () =
   let bdf = Bus.make_bdf ~bus:3 ~dev:31 ~fn:7 in
   Alcotest.(check int) "bus" 3 (Bus.bdf_bus bdf);
@@ -606,7 +790,8 @@ let qcheck_cases =
       (fun (base, len) ->
          let b = Ioport.Iopb.none () in
          Ioport.Iopb.grant b ~base ~len;
-         Ioport.Iopb.granted_ranges b = [ (base, len) ]) ]
+         Ioport.Iopb.granted_ranges b = [ (base, len) ]);
+    dma_blit_reference_test ]
 
 let suite =
   [ Alcotest.test_case "phys_mem: rw" `Quick test_phys_rw;
@@ -614,6 +799,9 @@ let suite =
     Alcotest.test_case "phys_mem: bounds" `Quick test_phys_bounds;
     Alcotest.test_case "phys_mem: allocator" `Quick test_phys_alloc;
     Alcotest.test_case "phys_mem: exhaustion" `Quick test_phys_exhaustion;
+    Alcotest.test_case "phys_mem: untouched memory reads zero" `Quick test_phys_untouched_zero;
+    Alcotest.test_case "phys_mem: blit across a chunk edge" `Quick test_phys_chunk_edge;
+    Alcotest.test_case "phys_mem: free zeroes" `Quick test_phys_free_zeroes;
     Alcotest.test_case "pci_cfg: ids" `Quick test_cfg_ids;
     Alcotest.test_case "pci_cfg: BAR sizing" `Quick test_cfg_bar_sizing;
     Alcotest.test_case "pci_cfg: MSI capability" `Quick test_cfg_msi;
@@ -637,6 +825,8 @@ let suite =
     Alcotest.test_case "topology: cfg + mmio decode" `Quick test_topology_cfg_and_mmio;
     Alcotest.test_case "topology: unknown address" `Quick test_topology_unknown_addr;
     Alcotest.test_case "topology: BDF assignment" `Quick test_topology_bdf_assignment;
+    Alcotest.test_case "dma: page straddle faults" `Quick test_dma_page_straddle;
+    Alcotest.test_case "dma: one-page transfer allocation" `Quick test_dma_one_page_alloc;
     Alcotest.test_case "bus: BDF packing" `Quick test_bus_bdf;
     Alcotest.test_case "medium: delivery" `Quick test_medium_delivery;
     Alcotest.test_case "medium: serialization" `Quick test_medium_serialization;

@@ -17,6 +17,8 @@ let suite =
       (fun () -> check (dma_read_exfiltration ~sud:true) ());
     Alcotest.test_case "SUD blocks DMA write" `Quick
       (fun () -> check (dma_write_corruption ()) ());
+    Alcotest.test_case "SUD blocks DMA straddling a mapped page" `Quick
+      (fun () -> check (dma_page_straddle ()) ());
     Alcotest.test_case "P2P DMA succeeds without ACS" `Quick
       (fun () -> check ~expect:false (peer_to_peer ~acs:false) ());
     Alcotest.test_case "P2P DMA blocked with ACS" `Quick

@@ -63,8 +63,8 @@ let test_ring_power_of_two () =
 let mk_pool () =
   let backing = Bytes.make (Bufpool.region_size ~count:4 ~buf_size:256) '\000' in
   Bufpool.create
-    ~read:(fun ~off ~len -> Bytes.sub backing off len)
-    ~write:(fun ~off ~data -> Bytes.blit data 0 backing off (Bytes.length data))
+    ~blit_out:(fun ~off ~dst ~dst_off ~len -> Bytes.blit backing off dst dst_off len)
+    ~blit_in:(fun ~off ~src ~src_off ~len -> Bytes.blit src src_off backing off len)
     ~base_addr:0x42430000 ~count:4 ~buf_size:256
 
 let test_bufpool_alloc_free () =
