@@ -1318,9 +1318,9 @@ let run_check () =
       [ "doorbell_vs_publish"; "mini-soak" ]
   in
   (* Exploration throughput: how many distinct random schedules of a
-     fiber-heavy scenario the engine retires per second.  One batch takes
-     about 0.1 s, too short to resolve a change under 2x, so the same
-     batch (same seeds, so the same choice points) runs
+     fiber-heavy scenario the engine retires per second.  One batch is
+     too short to time on its own (back-to-back runs spread by 2x), so
+     the same batch (same seeds, so the same choice points) runs
      [check_throughput_batches] times and the median rate is reported. *)
   let tp_sc = Option.get (Check.find_scenario "stale_wakeup") in
   let batch () =
@@ -1344,7 +1344,8 @@ let run_check () =
   in
   let per_s = List.nth rates (check_throughput_batches / 2) in
   Printf.printf
-    "throughput: %d x %d schedules of %s in %.2fs = %.0f schedules/s median (min %.0f, max %.0f; %d choice points per batch)\n"
+    "throughput: %d x %d schedules of %s in %.2fs = %.0f schedules/s median \
+     (min %.0f, max %.0f; %d choice points per batch)\n"
     check_throughput_batches check_throughput_runs tp_sc.Scenario.sc_name tp_elapsed per_s
     (List.hd rates) (List.nth rates (check_throughput_batches - 1)) tp_points;
   let labels = [ ("scenario", tp_sc.Scenario.sc_name) ] in

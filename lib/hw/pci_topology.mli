@@ -15,6 +15,10 @@
     - Writes that reach the root and fall in the MSI window are passed to
       the interrupt-remapping check and then to the MSI sink (the kernel's
       interrupt dispatch).
+    - A DMA that crosses a page boundary is routed page by page, and every
+      page is translated before any byte moves: a fault on any page fails
+      the whole transfer, so a transfer can never run on from a mapped
+      page into whatever physical page follows it.
 
     CPU-initiated MMIO, IO-port and config accesses are also routed here. *)
 
@@ -53,7 +57,9 @@ val set_msi_sink : t -> (source:Bus.bdf -> vector:int -> unit) -> unit
 
 val set_dma_charge : t -> ([ `Hit | `Walk | `Bypass ] -> unit) -> unit
 (** Install the cost sink for DMA address translation.  Called once per
-    device-initiated DMA with how the IOMMU produced the answer ([`Hit] =
+    device-initiated DMA, for its first page only (later pages are
+    checked by {!Iommu.check}, uncharged), with how the IOMMU produced the
+    answer ([`Hit] =
     IOTLB, [`Walk] = two-level table walk, [`Bypass] = passthrough or
     implicit MSI); the kernel maps these to {!Cost_model} charges. *)
 
