@@ -471,10 +471,10 @@ let dma_blit_reference_test =
               Iommu.map iommu dom ~iova:(base + (p * 4096))
                 ~phys:((phys_lo + frames.(p)) * 4096) ~len:4096 ~writable:(perm = 2))
          perms;
-       let rng = Random.State.make [| seed |] in
+       let rng = Rng.create ~seed:(Int64.of_int seed) in
        let lo = phys_lo * 4096 and span = phys_pages * 4096 in
-       Phys_mem.write mem ~addr:lo (Bytes.init span (fun _ -> Char.chr (Random.State.int rng 256)));
-       let data = Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
+       Phys_mem.write mem ~addr:lo (Bytes.init span (fun _ -> Char.chr (Rng.int rng 256)));
+       let data = Bytes.init len (fun _ -> Char.chr (Rng.int rng 256)) in
        (* The reference: where each byte lands, or None on a fault. *)
        let phys_of i =
          let p = (off + i) / 4096 in
